@@ -107,6 +107,14 @@ if ! ./build/tools/djinn_cli 127.0.0.1 19163 tail 90 \
     exit 1
 fi
 
+# Request log smoke: `metrics requests` is read from the flight
+# recorder, so the mnist inferences above must show up as rows.
+if ! ./build/tools/djinn_cli 127.0.0.1 19163 metrics requests \
+    | grep -q " mnist "; then
+    echo "check_build: djinn_cli metrics requests smoke FAILED" >&2
+    exit 1
+fi
+
 # Live dashboard e2e: `djinn_cli top` must render per-model series
 # computed from the daemon's time-series store over the wire. Two
 # frames through the non-tty path (plain text, no escape codes).

@@ -2,11 +2,11 @@
 
 #include <chrono>
 #include <cstring>
+#include <optional>
 
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
 #include "core/perf_sink.hh"
-#include "nn/profile.hh"
 #include "telemetry/perf_counters.hh"
 #include "telemetry/trace.hh"
 #include "telemetry/tracer.hh"
@@ -365,87 +365,23 @@ BatchingExecutor::dispatchLoop(ModelQueue *queue)
             row += p.rows;
         }
 
-        CountingProfileSink profile;
-        int64_t fwd_start_us =
-            primary ? telemetry::traceNowUs() : 0;
-        telemetry::CounterScope forward_scope;
-        nn::Tensor output =
-            net.forward(input, primary ? &profile : nullptr);
-        const telemetry::CounterDelta &forward_delta =
-            forward_scope.stop();
+        std::optional<ForwardSpans> spans;
+        if (primary) {
+            spans = ForwardSpans{
+                tracer, "batch", track, primary->trace.traceId,
+                primary->parentSpan,
+                {{"batch_rows",
+                  strprintf("%lld", static_cast<long long>(total_rows))},
+                 {"queries", strprintf("%zu", batch.size())},
+                 {"trace_ids", trace_ids}}};
+        }
+        ForwardPass pass =
+            runForward(net, input, spans ? &*spans : nullptr);
         int64_t out_elems = net.outputShape().sampleElems();
 
-        if (primary) {
-            int64_t fwd_end_us = telemetry::traceNowUs();
-            uint64_t fwd_span = tracer->nextSpanId();
-            telemetry::TraceEvent fwd;
-            fwd.name = "forward";
-            fwd.category = "batch";
-            fwd.track = track;
-            fwd.traceId = primary->trace.traceId;
-            fwd.spanId = fwd_span;
-            fwd.parentSpanId = primary->parentSpan;
-            fwd.startUs = fwd_start_us;
-            fwd.durationUs = fwd_end_us - fwd_start_us;
-            fwd.args.emplace_back(
-                "batch_rows",
-                strprintf("%lld",
-                          static_cast<long long>(total_rows)));
-            fwd.args.emplace_back(
-                "queries",
-                strprintf("%zu", batch.size()));
-            fwd.args.emplace_back("trace_ids", trace_ids);
-            tracer->record(std::move(fwd));
-
-            // Lay the per-layer spans out sequentially under the
-            // forward span using their measured durations.
-            int64_t layer_start = fwd_start_us;
-            for (size_t i = 0; i < profile.profiles().size(); ++i) {
-                const nn::LayerProfile &lp = profile.profiles()[i];
-                telemetry::TraceEvent e;
-                e.name = lp.name;
-                e.category = "layer";
-                e.track = track;
-                e.traceId = primary->trace.traceId;
-                e.spanId = tracer->nextSpanId();
-                e.parentSpanId = fwd_span;
-                e.startUs = layer_start;
-                e.durationUs = static_cast<int64_t>(
-                    lp.seconds * 1e6);
-                e.args.emplace_back(
-                    "kind", nn::layerKindName(lp.kind));
-                e.args.emplace_back(
-                    "flops",
-                    strprintf("%llu",
-                              static_cast<unsigned long long>(
-                                  lp.flops)));
-                e.args.emplace_back(
-                    "activation_bytes",
-                    strprintf("%llu",
-                              static_cast<unsigned long long>(
-                                  lp.activationBytes)));
-                if (i < profile.deltas().size() &&
-                    profile.deltas()[i].hardware) {
-                    const telemetry::CounterDelta &d =
-                        profile.deltas()[i];
-                    e.args.emplace_back(
-                        "cycles",
-                        strprintf("%llu",
-                                  static_cast<unsigned long long>(
-                                      d.cycles)));
-                    e.args.emplace_back(
-                        "instructions",
-                        strprintf("%llu",
-                                  static_cast<unsigned long long>(
-                                      d.instructions)));
-                    e.args.emplace_back(
-                        "ipc", strprintf("%.3f", d.ipc()));
-                }
-                layer_start += e.durationUs;
-                tracer->record(std::move(e));
-            }
-        }
-
+        // Timed from dispatch rather than pass.seconds, so a query's
+        // queue wait plus the batch's forward time covers its whole
+        // stay in the executor (batch stacking included).
         double forward_seconds = std::chrono::duration<double>(
             std::chrono::steady_clock::now() - dispatch_time)
                 .count();
@@ -462,13 +398,13 @@ BatchingExecutor::dispatchLoop(ModelQueue *queue)
                 static_cast<double>(batch.size()) /
                 static_cast<double>(std::max<int64_t>(target, 1)));
             queue->forwardCyclesHist->record(
-                static_cast<double>(forward_delta.work()));
-            if (forward_delta.hardware) {
+                static_cast<double>(pass.counters.work()));
+            if (pass.counters.hardware) {
                 queue->forwardInstructionsHist->record(
-                    static_cast<double>(forward_delta.instructions));
-                queue->forwardIpcHist->record(forward_delta.ipc());
+                    static_cast<double>(pass.counters.instructions));
+                queue->forwardIpcHist->record(pass.counters.ipc());
                 queue->forwardCacheMissHist->record(
-                    static_cast<double>(forward_delta.cacheMisses));
+                    static_cast<double>(pass.counters.cacheMisses));
             }
         }
 
@@ -490,8 +426,8 @@ BatchingExecutor::dispatchLoop(ModelQueue *queue)
         for (size_t i = 0; i < batch.size(); ++i) {
             Pending &p = batch[i];
             std::vector<float> slice(
-                output.sample(row),
-                output.sample(row) + p.rows * out_elems);
+                pass.output.sample(row),
+                pass.output.sample(row) + p.rows * out_elems);
             row += p.rows;
             InferenceResult result{Status::ok(), std::move(slice),
                                    total_rows};

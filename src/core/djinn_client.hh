@@ -196,8 +196,8 @@ class DjinnClient
     Result<std::string> traceJson();
 
     /**
-     * Fetch the server's recent request summaries
-     * (trace_id,model,rows,batch_rows,service_ms CSV).
+     * Fetch the server's recently served requests from its flight
+     * recorder (trace_id,model,rows,batch_rows,service_ms CSV).
      */
     Result<std::string> requestsCsv();
 

@@ -18,7 +18,6 @@
 #include "core/fault.hh"
 #include "core/http_endpoint.hh"
 #include "core/perf_sink.hh"
-#include "nn/profile.hh"
 #include "telemetry/attribution.hh"
 #include "telemetry/build_info.hh"
 #include "telemetry/dashboard.hh"
@@ -850,15 +849,29 @@ DjinnServer::handleRequest(const Request &request,
                 response.message = telemetry::renderChromeTrace(
                     tracer_.events());
             } else if (format == "requests") {
+                // Read from the flight recorder; like `trace`, a
+                // tracing-disabled server answers an empty log.
                 response.message = telemetry::renderRequestsCsv(
-                    tracer_.recentRequests());
+                    config_.tracing
+                        ? flightRecorder_.snapshot()
+                        : std::vector<telemetry::FlightRecord>{});
             } else if (format == "tail" ||
                        format.rfind("tail:", 0) == 0) {
                 // "tail" attributes p99; "tail:N" percentile N.
                 // One fleet-wide report, then one per model.
                 double pct = 99.0;
-                if (format.size() > 5)
+                if (format.size() > 5) {
+                    // Same check as GET /debug/tail; the negated
+                    // test also rejects NaN.
                     pct = std::atof(format.c_str() + 5);
+                    if (!(pct > 0.0 && pct < 100.0)) {
+                        response.status = WireStatus::BadRequest;
+                        response.message =
+                            "bad tail percentile (want 0 < pct "
+                            "< 100)";
+                        return response;
+                    }
+                }
                 auto records = flightRecorder_.snapshot();
                 std::string out = telemetry::renderTailReport(
                     telemetry::attributeTail(records, pct));
@@ -1051,7 +1064,6 @@ DjinnServer::handleInference(const Request &request,
         return response;
     }
 
-    int64_t batch_rows = rows;
     auto start = std::chrono::steady_clock::now();
     try {
         if (batcher_) {
@@ -1105,7 +1117,6 @@ DjinnServer::handleInference(const Request &request,
                 return response;
             }
             response.payload = std::move(result.output);
-            batch_rows = result.batchRows;
         } else {
             // Without the batcher there is no dequeue point, so
             // enforce the deadline here: shed before the forward
@@ -1126,99 +1137,28 @@ DjinnServer::handleInference(const Request &request,
             nn::Tensor input(network->inputShape().withBatch(rows));
             std::memcpy(input.data(), request.payload.data(),
                         request.payload.size() * sizeof(float));
-            std::optional<telemetry::RequestTrace::Span> span;
-            if (trace)
-                span.emplace(*trace, telemetry::Phase::Forward);
-            CountingProfileSink profile;
-            int64_t fwd_start_us =
-                wire ? telemetry::traceNowUs() : 0;
-            auto fwd_clock_start = std::chrono::steady_clock::now();
-            telemetry::CounterScope forward_scope;
-            nn::Tensor output =
-                network->forward(input, wire ? &profile : nullptr);
-            const telemetry::CounterDelta &forward_delta =
-                forward_scope.stop();
+            std::optional<ForwardSpans> spans;
+            if (wire) {
+                spans = ForwardSpans{&tracer_, "server", wire->track,
+                                     wire->trace.traceId,
+                                     wire->serverSpan, {}};
+            }
+            ForwardPass pass =
+                runForward(*network, input, spans ? &*spans : nullptr);
             if (flight) {
-                flight->forwardSeconds =
-                    std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() -
-                        fwd_clock_start)
-                        .count();
+                flight->forwardSeconds = pass.seconds;
                 flight->batchQueries = 1;
                 flight->batchRows = static_cast<int32_t>(rows);
                 flight->batchPosition = 0;
             }
-            if (span)
-                span->stop();
             if (trace) {
+                trace->record(telemetry::Phase::Forward, pass.seconds);
                 trace->recordWork(telemetry::Phase::Forward,
-                                  forward_delta);
+                                  pass.counters);
             }
-            if (wire) {
-                int64_t fwd_end_us = telemetry::traceNowUs();
-                uint64_t fwd_span = tracer_.nextSpanId();
-                telemetry::TraceEvent fwd;
-                fwd.name = "forward";
-                fwd.category = "server";
-                fwd.track = wire->track;
-                fwd.traceId = wire->trace.traceId;
-                fwd.spanId = fwd_span;
-                fwd.parentSpanId = wire->serverSpan;
-                fwd.startUs = fwd_start_us;
-                fwd.durationUs = fwd_end_us - fwd_start_us;
-                tracer_.record(std::move(fwd));
-                int64_t layer_start = fwd_start_us;
-                for (size_t i = 0; i < profile.profiles().size();
-                     ++i) {
-                    const nn::LayerProfile &lp =
-                        profile.profiles()[i];
-                    telemetry::TraceEvent e;
-                    e.name = lp.name;
-                    e.category = "layer";
-                    e.track = wire->track;
-                    e.traceId = wire->trace.traceId;
-                    e.spanId = tracer_.nextSpanId();
-                    e.parentSpanId = fwd_span;
-                    e.startUs = layer_start;
-                    e.durationUs =
-                        static_cast<int64_t>(lp.seconds * 1e6);
-                    e.args.emplace_back(
-                        "kind", nn::layerKindName(lp.kind));
-                    e.args.emplace_back(
-                        "flops",
-                        strprintf("%llu",
-                                  static_cast<unsigned long long>(
-                                      lp.flops)));
-                    e.args.emplace_back(
-                        "activation_bytes",
-                        strprintf("%llu",
-                                  static_cast<unsigned long long>(
-                                      lp.activationBytes)));
-                    if (i < profile.deltas().size() &&
-                        profile.deltas()[i].hardware) {
-                        const telemetry::CounterDelta &d =
-                            profile.deltas()[i];
-                        e.args.emplace_back(
-                            "cycles",
-                            strprintf(
-                                "%llu",
-                                static_cast<unsigned long long>(
-                                    d.cycles)));
-                        e.args.emplace_back(
-                            "instructions",
-                            strprintf(
-                                "%llu",
-                                static_cast<unsigned long long>(
-                                    d.instructions)));
-                        e.args.emplace_back(
-                            "ipc", strprintf("%.3f", d.ipc()));
-                    }
-                    layer_start += e.durationUs;
-                    tracer_.record(std::move(e));
-                }
-            }
-            response.payload.assign(output.data(),
-                                    output.data() + output.elems());
+            response.payload.assign(
+                pass.output.data(),
+                pass.output.data() + pass.output.elems());
         }
     } catch (const FatalError &e) {
         response.status = WireStatus::ServerError;
@@ -1231,10 +1171,6 @@ DjinnServer::handleInference(const Request &request,
         trace->record(telemetry::Phase::Service, seconds);
     if (slo_)
         slo_->record(request.model, seconds);
-    if (config_.tracing) {
-        tracer_.recordRequest({request.trace.traceId, request.model,
-                               rows, batch_rows, seconds * 1e3});
-    }
     telemetry::LabelMap model_label{{"model", request.model}};
     metrics_.counter(requestsTotalName, model_label).inc();
     metrics_.counter(rowsTotalName, model_label)

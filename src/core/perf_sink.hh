@@ -1,6 +1,13 @@
 /**
  * @file
- * A ProfileSink that augments per-layer wall profiles with
+ * The forward pass as both serving paths run it. runForward() wraps
+ * Network::forward in a per-thread counter scope and, for a traced
+ * pass, profiles every layer and records a `forward` span with one
+ * `layer` child per executed layer. The connection worker (inline
+ * path) and the batch dispatcher (batched path) differ only in what
+ * they stage around the call and which track the spans land on.
+ *
+ * CountingProfileSink augments per-layer wall profiles with
  * hardware counter deltas: onLayerStart snapshots the executing
  * thread's perf group, onLayer closes the delta, so a profiled
  * forward pass yields cycles / instructions / IPC / cache misses
@@ -20,12 +27,21 @@
 #ifndef DJINN_CORE_PERF_SINK_HH
 #define DJINN_CORE_PERF_SINK_HH
 
+#include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "nn/network.hh"
 #include "nn/profile.hh"
+#include "nn/tensor.hh"
 #include "telemetry/perf_counters.hh"
 
 namespace djinn {
+namespace telemetry {
+class Tracer;
+} // namespace telemetry
+
 namespace core {
 
 /** VectorProfileSink plus per-layer counter deltas. */
@@ -53,20 +69,53 @@ class CountingProfileSink : public nn::VectorProfileSink
         return deltas_;
     }
 
-    /** Sum of the per-layer deltas (the forward pass's total). */
-    telemetry::CounterDelta
-    total() const
-    {
-        telemetry::CounterDelta sum;
-        for (const auto &d : deltas_)
-            sum.add(d);
-        return sum;
-    }
-
   private:
     telemetry::CounterSet::Snapshot begin_;
     std::vector<telemetry::CounterDelta> deltas_;
 };
+
+/** Where a traced forward pass records its spans. */
+struct ForwardSpans {
+    /** Ring the spans are recorded into. */
+    telemetry::Tracer *tracer = nullptr;
+
+    /** Category of the `forward` span ("server" or "batch"). */
+    std::string category;
+
+    /** Track both the `forward` and the `layer` spans land on. */
+    std::string track;
+
+    /** Trace the spans belong to. */
+    uint64_t traceId = 0;
+
+    /** Parent of the `forward` span. */
+    uint64_t parentSpanId = 0;
+
+    /** Extra args on the `forward` span, in order. */
+    std::vector<std::pair<std::string, std::string>> args;
+};
+
+/** What one forward pass produced. */
+struct ForwardPass {
+    nn::Tensor output;
+
+    /** Wall time of Network::forward, seconds. */
+    double seconds = 0.0;
+
+    /** The calling thread's counter movement over the pass. */
+    telemetry::CounterDelta counters;
+};
+
+/**
+ * Run @p net on @p input. With @p spans the pass is profiled per
+ * layer and recorded as a `forward` span whose `layer` children are
+ * laid out sequentially by their measured durations, each carrying
+ * `kind`, `flops`, `activation_bytes` and, with hardware counters,
+ * `cycles`, `instructions` and `ipc`. Null @p spans runs the pass
+ * unprofiled.
+ */
+ForwardPass runForward(const nn::Network &net, const nn::Tensor &input,
+                       const ForwardSpans *spans);
 
 } // namespace core
 } // namespace djinn

@@ -6,6 +6,7 @@
 #include "common/strings.hh"
 #include "telemetry/exposition.hh"
 #include "telemetry/metrics.hh"
+#include "telemetry/trace_context.hh"
 
 namespace djinn {
 namespace telemetry {
@@ -253,6 +254,21 @@ renderFlightRecordJson(const FlightRecord &record)
     out += strprintf(", \"cache_misses\": %llu}",
                      static_cast<unsigned long long>(
                          record.cacheMisses));
+    return out;
+}
+
+std::string
+renderRequestsCsv(const std::vector<FlightRecord> &records)
+{
+    std::string out = "trace_id,model,rows,batch_rows,service_ms\n";
+    for (const FlightRecord &r : records) {
+        if (r.outcome != FlightOutcome::Ok)
+            continue;
+        out += strprintf(
+            "%s,%s,%d,%d,%.3f\n", traceIdToHex(r.traceId).c_str(),
+            r.modelName().c_str(), r.rows, r.batchRows,
+            (r.queueWaitSeconds + r.forwardSeconds) * 1e3);
+    }
     return out;
 }
 

@@ -204,6 +204,14 @@ class FlightRecorder
  * an exemplar's `record` ref resolves to). */
 std::string renderFlightRecordJson(const FlightRecord &record);
 
+/**
+ * Render the Ok records as CSV, one header line
+ * `trace_id,model,rows,batch_rows,service_ms` (the `requests`
+ * exposition format). service_ms is queue wait plus forward time;
+ * sheds and errors are left out.
+ */
+std::string renderRequestsCsv(const std::vector<FlightRecord> &records);
+
 /** Metric family for per-request end-to-end latency, recorded with
  * per-bucket exemplars resolving to flight records. */
 inline const char *const requestSecondsMetricName =

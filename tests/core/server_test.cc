@@ -463,6 +463,23 @@ TEST_F(ServerTest, MetricsBadFormatRejected)
     EXPECT_EQ(result.status().code(), StatusCode::InvalidArgument);
 }
 
+TEST_F(ServerTest, MetricsTailPercentileValidated)
+{
+    startServer();
+    DjinnClient client;
+    ASSERT_TRUE(connect(client).isOk());
+    // Same bounds as GET /debug/tail: 0 < pct < 100, NaN rejected.
+    for (const char *format :
+         {"tail:nan", "tail:150", "tail:0", "tail:abc"}) {
+        auto result = client.metricsExposition(format);
+        ASSERT_FALSE(result.isOk()) << format;
+        EXPECT_EQ(result.status().code(), StatusCode::InvalidArgument)
+            << format;
+    }
+    EXPECT_TRUE(client.metricsExposition("tail:50").isOk());
+    EXPECT_TRUE(client.metricsExposition("tail").isOk());
+}
+
 TEST_F(ServerTest, MetricsCountErrorsByReason)
 {
     startServer();

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "common/strings.hh"
 #include "core/djinn_client.hh"
 #include "core/http_endpoint.hh"
 #include "nn/init.hh"
@@ -63,6 +64,27 @@ class TracingTest : public ::testing::Test
                 out.push_back(std::move(e));
         }
         return out;
+    }
+
+    /** Data rows of the server's `requests` CSV, split on ','. */
+    std::vector<std::vector<std::string>>
+    requestRows()
+    {
+        std::vector<std::vector<std::string>> rows;
+        DjinnClient client;
+        EXPECT_TRUE(connect(client).isOk());
+        auto csv = client.requestsCsv();
+        EXPECT_TRUE(csv.isOk()) << csv.status().toString();
+        if (!csv.isOk())
+            return rows;
+        std::vector<std::string> lines = split(csv.value(), '\n');
+        EXPECT_EQ(lines.at(0),
+                  "trace_id,model,rows,batch_rows,service_ms");
+        for (size_t i = 1; i < lines.size(); ++i) {
+            if (!lines[i].empty())
+                rows.push_back(split(lines[i], ','));
+        }
+        return rows;
     }
 
     static const telemetry::TraceEvent *
@@ -156,13 +178,14 @@ TEST_F(TracingTest, SingleRequestProducesLinkedSpanTree)
     EXPECT_NE(json.find("\"request tiny\""), std::string::npos);
     EXPECT_NE(json.find("\"fc\""), std::string::npos);
 
-    // The request summary correlates the trace id with the batch.
-    auto requests = server_->tracer().recentRequests();
+    // The request log correlates the trace id with the batch.
+    auto requests = requestRows();
     ASSERT_EQ(requests.size(), 1u);
-    EXPECT_EQ(requests[0].traceId, trace_id);
-    EXPECT_EQ(requests[0].model, "tiny");
-    EXPECT_EQ(requests[0].rows, 1);
-    EXPECT_GE(requests[0].batchRows, 1);
+    ASSERT_EQ(requests[0].size(), 5u);
+    EXPECT_EQ(requests[0][0], hex);
+    EXPECT_EQ(requests[0][1], "tiny");
+    EXPECT_EQ(requests[0][2], "1");
+    EXPECT_GE(std::stoi(requests[0][3]), 1);
 }
 
 TEST_F(TracingTest, NonBatchingServerAlsoEmitsLayerSpans)
@@ -187,6 +210,53 @@ TEST_F(TracingTest, NonBatchingServerAlsoEmitsLayerSpans)
     ASSERT_NE(fc, nullptr);
     EXPECT_EQ(forward->parentSpanId, request->spanId);
     EXPECT_EQ(fc->parentSpanId, forward->spanId);
+
+    // The inline path emits the same layer args as the batched
+    // one: tiny fc is 2 * 4 * 3 = 24 flops for one row.
+    bool saw_kind = false, saw_flops = false;
+    for (const auto &[key, value] : fc->args) {
+        if (key == "kind")
+            saw_kind = true;
+        if (key == "flops") {
+            EXPECT_EQ(value, "24");
+            saw_flops = true;
+        }
+    }
+    EXPECT_TRUE(saw_kind);
+    EXPECT_TRUE(saw_flops);
+}
+
+TEST_F(TracingTest, RequestsLogListsOnlyServedRequests)
+{
+    ServerConfig config;
+    config.batching = true;
+    // One query waits the full delay for peers, so a 1 ms budget
+    // is always spent before dequeue.
+    config.batchOptions.maxQueries = 8;
+    config.batchOptions.maxDelay = 0.05;
+    config.samplerPeriod = 0;
+    startServer(config);
+
+    DjinnClient client;
+    ASSERT_TRUE(connect(client).isOk());
+    client.setTracing(true);
+    std::vector<float> payload(4, 0.5f);
+
+    EXPECT_FALSE(client.infer("nope", 1, payload).isOk());
+
+    client.setDeadlineMs(1);
+    auto late = client.infer("tiny", 1, payload);
+    ASSERT_FALSE(late.isOk());
+    EXPECT_EQ(late.status().code(), StatusCode::DeadlineExceeded);
+
+    client.setDeadlineMs(0);
+    ASSERT_TRUE(client.infer("tiny", 1, payload).isOk());
+
+    // The unknown-model request and the shed one are not listed.
+    auto requests = requestRows();
+    ASSERT_EQ(requests.size(), 1u);
+    EXPECT_EQ(requests[0].at(0),
+              telemetry::traceIdToHex(client.lastTrace().traceId));
 }
 
 TEST_F(TracingTest, UntracedClientLeavesRingQuiet)
@@ -201,13 +271,13 @@ TEST_F(TracingTest, UntracedClientLeavesRingQuiet)
     std::vector<float> payload(4, 0.5f);
     ASSERT_TRUE(client.infer("tiny", 1, payload).isOk());
 
-    // No wire trace context -> no spans, but the request summary
-    // (trace id 0) is still recorded.
+    // No wire trace context -> no spans, but the request log
+    // (trace id 0) still lists the request.
     for (const auto &e : server_->tracer().events())
         EXPECT_TRUE(e.counter) << e.name;
-    auto requests = server_->tracer().recentRequests();
+    auto requests = requestRows();
     ASSERT_EQ(requests.size(), 1u);
-    EXPECT_EQ(requests[0].traceId, 0u);
+    EXPECT_EQ(requests[0].at(0), telemetry::traceIdToHex(0));
 }
 
 TEST_F(TracingTest, TracingDisabledServerStillServesTracedClients)
@@ -224,7 +294,7 @@ TEST_F(TracingTest, TracingDisabledServerStillServesTracedClients)
     ASSERT_TRUE(result.isOk());
     EXPECT_NE(client.lastTrace().traceId, 0u);
     EXPECT_TRUE(server_->tracer().events().empty());
-    EXPECT_TRUE(server_->tracer().recentRequests().empty());
+    EXPECT_TRUE(requestRows().empty());
 }
 
 TEST_F(TracingTest, TraceAndRequestsExpositionFormats)
