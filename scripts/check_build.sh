@@ -60,6 +60,17 @@ cmake -B build -S . && cmake --build build -j && \
     cd build && ctest --output-on-failure -j "$(nproc)"
 cd ..
 
+# Flag validation: out-of-range djinnd flags exit 2 with the usage
+# text, before any model loads or any socket binds.
+for bad in "--port 70000" "--batch-size 0"; do
+    rc=0
+    ./build/tools/djinnd $bad > /dev/null 2>&1 || rc=$?
+    if [ "$rc" -ne 2 ]; then
+        echo "check_build: djinnd $bad exited $rc, want 2" >&2
+        exit 1
+    fi
+done
+
 # Smoke test the observability surface: boot a real daemon with the
 # HTTP endpoint and let scrape_check validate /healthz, /metrics
 # (must parse as Prometheus exposition), /trace, and /profile.
@@ -299,8 +310,9 @@ cmake --build build-asan -j --target nn_test
 ./build-asan/tests/nn_test --gtest_filter='GemmDiff*:Quant*'
 
 # ThreadSanitizer pass over the concurrency-heavy suites: the
-# compute pool, the threaded GEMM kernel, the batching server, and
-# the request-lifecycle robustness battery.
+# compute pool, the threaded GEMM kernel, the batching server, the
+# request-lifecycle robustness battery, and (forward passes run on
+# connection workers) the tracing and cycle-accounting suites.
 cmake -B build-tsan -S . -DDJINN_SANITIZE=thread \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-tsan -j --target common_test nn_test core_test \
@@ -312,7 +324,7 @@ cmake --build build-tsan -j --target common_test nn_test core_test \
 # primitives.
 ./build-tsan/tests/nn_test --gtest_filter='GemmDiff*:Quant*'
 ./build-tsan/tests/core_test \
-    --gtest_filter='*Batcher*:*Server*:*Robustness*:*Retry*:*FrameIo*:*Observability*:*Sched*'
+    --gtest_filter='*Batcher*:*Server*:*Robustness*:*Retry*:*FrameIo*:*Observability*:*Sched*:TracingTest*:CycleAccounting*:TailE2e*'
 # The flight recorder's seqlock ring and the histogram exemplar
 # slots are lock-free multi-writer structures; their stress tests
 # are only meaningful under TSan.

@@ -156,7 +156,8 @@ void setComputeThreads(int threads);
  * ways: as the pthread name (top, /proc) and as the root frame of
  * the thread's stacks in the sampling profiler's collapsed
  * output. Pool workers self-register as "compute-N"; the server
- * names its acceptor, connection workers, and batch dispatchers.
+ * names its acceptor and connection workers (which also lead the
+ * batched forward passes).
  * Truncated to 15 characters (the pthread limit).
  */
 void setCurrentThreadName(const char *name);

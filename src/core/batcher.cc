@@ -5,9 +5,7 @@
 #include <optional>
 
 #include "common/logging.hh"
-#include "common/thread_pool.hh"
 #include "core/perf_sink.hh"
-#include "telemetry/perf_counters.hh"
 #include "telemetry/trace.hh"
 #include "telemetry/tracer.hh"
 
@@ -28,31 +26,10 @@ BatchingExecutor::BatchingExecutor(const ModelRegistry &registry,
               "non-negative");
 }
 
-BatchingExecutor::~BatchingExecutor()
-{
-    {
-        std::lock_guard<std::mutex> lock(mapMutex_);
-        stopping_ = true;
-        for (auto &[name, queue] : queues_) {
-            std::lock_guard<std::mutex> qlock(queue->mutex);
-            queue->stopping = true;
-            queue->cv.notify_all();
-        }
-    }
-    for (auto &[name, queue] : queues_) {
-        if (queue->dispatcher.joinable())
-            queue->dispatcher.join();
-    }
-}
-
 BatchingExecutor::ModelQueue *
 BatchingExecutor::queueFor(const std::string &model, Status &error)
 {
     std::lock_guard<std::mutex> lock(mapMutex_);
-    if (stopping_) {
-        error = Status::unavailable("executor shutting down");
-        return nullptr;
-    }
     auto it = queues_.find(model);
     if (it != queues_.end())
         return it->second.get();
@@ -119,332 +96,300 @@ BatchingExecutor::queueFor(const std::string &model, Status &error)
             {{"model", model}, {"reason", "deadline"}});
     }
     ModelQueue *raw = queue.get();
-    raw->dispatcher = std::thread([this, raw]() {
-        dispatchLoop(raw);
-    });
     queues_.emplace(model, std::move(queue));
     return raw;
 }
 
-std::future<InferenceResult>
+InferenceResult
 BatchingExecutor::submit(const std::string &model, int64_t rows,
-                         std::vector<float> data, Deadline deadline)
-{
-    return submit(model, rows, std::move(data),
-                  telemetry::TraceContext{}, 0, deadline);
-}
-
-std::future<InferenceResult>
-BatchingExecutor::submit(const std::string &model, int64_t rows,
-                         std::vector<float> data,
+                         const std::vector<float> &data,
+                         Deadline deadline,
                          const telemetry::TraceContext &trace,
-                         uint64_t parent_span, Deadline deadline)
+                         uint64_t parent_span)
 {
-    std::promise<InferenceResult> promise;
-    std::future<InferenceResult> future = promise.get_future();
-
     Status error = Status::ok();
     ModelQueue *queue = queueFor(model, error);
-    if (!queue) {
-        promise.set_value({error, {}});
-        return future;
-    }
+    if (!queue)
+        return {error, {}};
 
     int64_t sample_elems = queue->network->inputShape().sampleElems();
     if (rows <= 0 ||
         static_cast<int64_t>(data.size()) != rows * sample_elems) {
-        promise.set_value(
-            {Status::invalidArgument(strprintf(
-                 "model '%s' expects %lld floats per row, got %zu "
-                 "floats for %lld rows", model.c_str(),
-                 static_cast<long long>(sample_elems), data.size(),
-                 static_cast<long long>(rows))),
-             {}});
-        return future;
+        return {Status::invalidArgument(strprintf(
+                    "model '%s' expects %lld floats per row, got %zu "
+                    "floats for %lld rows", model.c_str(),
+                    static_cast<long long>(sample_elems), data.size(),
+                    static_cast<long long>(rows))),
+                {}};
     }
 
-    {
-        std::lock_guard<std::mutex> lock(queue->mutex);
-        // Admission control: reject at enqueue instead of queueing
-        // without bound. The caller sees Overloaded and may retry
-        // after backoff; the query was never executed. The cap is
-        // re-derived from the live dispatch target on every
-        // submit, so a scheduler that shrinks the batch tightens
-        // admission with it.
-        if (static_cast<int64_t>(queue->pending.size()) >=
-            options_.queueDepthCapFor(queue->target.load(
-                std::memory_order_relaxed))) {
-            shedQueueFull_.fetch_add(1, std::memory_order_relaxed);
-            if (queue->shedQueueFullCounter)
-                queue->shedQueueFullCounter->inc();
-            promise.set_value(
-                {Status::overloaded(strprintf(
-                     "model '%s' queue full (%lld queued)",
-                     model.c_str(),
-                     static_cast<long long>(
-                         queue->pending.size()))),
-                 {}});
-            return future;
-        }
-        int64_t admit_depth =
-            static_cast<int64_t>(queue->pending.size());
-        queue->pending.push_back(
-            {rows, std::move(data), std::move(promise),
-             std::chrono::steady_clock::now(), trace, parent_span,
-             tracer_ ? telemetry::traceNowUs() : 0, deadline,
-             admit_depth});
-        pendingTotal_.fetch_add(1, std::memory_order_relaxed);
-        if (queue->admitDepthHist)
-            queue->admitDepthHist->record(
-                static_cast<double>(admit_depth));
-        if (queue->depthGauge) {
-            queue->depthGauge->set(
-                static_cast<double>(queue->pending.size()));
-        }
+    std::unique_lock<std::mutex> lock(queue->mutex);
+    // Admission control: reject at enqueue instead of queueing
+    // without bound. The caller sees Overloaded and may retry after
+    // backoff; the query was never executed. The cap is re-derived
+    // from the live dispatch target on every submit, so a scheduler
+    // that shrinks the batch tightens admission with it.
+    int64_t admit_depth = static_cast<int64_t>(queue->pending.size());
+    if (admit_depth >= options_.queueDepthCapFor(queue->target.load(
+                          std::memory_order_relaxed))) {
+        shedQueueFull_.fetch_add(1, std::memory_order_relaxed);
+        if (queue->shedQueueFullCounter)
+            queue->shedQueueFullCounter->inc();
+        return {Status::overloaded(strprintf(
+                    "model '%s' queue full (%lld queued)",
+                    model.c_str(),
+                    static_cast<long long>(admit_depth))),
+                {}};
+    }
+    Pending self{rows, data, std::chrono::steady_clock::now(), trace,
+                 parent_span, tracer_ ? telemetry::traceNowUs() : 0,
+                 deadline, admit_depth};
+    queue->pending.push_back(&self);
+    pendingTotal_.fetch_add(1, std::memory_order_relaxed);
+    if (queue->admitDepthHist)
+        queue->admitDepthHist->record(static_cast<double>(admit_depth));
+    if (queue->depthGauge)
+        queue->depthGauge->set(static_cast<double>(admit_depth + 1));
+    queue->cv.notify_all();
+
+    // Leader/follower: lead while this query is still queued and a
+    // slot is free, otherwise wait. A finished pass gives its slot
+    // back and wakes every waiter: the callers it answered return,
+    // and a caller whose query is still queued takes the slot.
+    const int64_t slots = options_.maxQueries > 1 ? 1 : INT64_MAX;
+    telemetry::CounterDelta led;
+    while (true) {
+        queue->cv.wait(lock, [&]() {
+            return self.state == Pending::Done ||
+                   (self.state == Pending::Queued &&
+                    queue->leaders < slots);
+        });
+        if (self.state == Pending::Done)
+            break;
+        ++queue->leaders;
+        led.add(lead(*queue, lock));
+        --queue->leaders;
         queue->cv.notify_all();
     }
-    return future;
+    self.result.ledCounters = led;
+    return std::move(self.result);
 }
 
-void
-BatchingExecutor::dispatchLoop(ModelQueue *queue)
+telemetry::CounterDelta
+BatchingExecutor::lead(ModelQueue &queue,
+                       std::unique_lock<std::mutex> &lock)
 {
-    common::setCurrentThreadName(
-        ("batch-" + queue->name).c_str());
-    using Clock = std::chrono::steady_clock;
-    const auto max_delay = std::chrono::duration_cast<
-        Clock::duration>(std::chrono::duration<double>(
-        options_.maxDelay));
-
-    while (true) {
-        std::vector<Pending> batch;
-        int64_t target = options_.maxQueries;
-        {
-            std::unique_lock<std::mutex> lock(queue->mutex);
-            queue->cv.wait(lock, [&]() {
-                return queue->stopping || !queue->pending.empty();
+    // Give peers a chance to join the batch, up to the live dispatch
+    // target (re-read inside the predicate: a retarget mid-wait
+    // takes effect immediately).
+    int64_t target = queue.target.load(std::memory_order_relaxed);
+    if (static_cast<int64_t>(queue.pending.size()) < target) {
+        queue.cv.wait_for(
+            lock, std::chrono::duration<double>(options_.maxDelay),
+            [&]() {
+                target = queue.target.load(std::memory_order_relaxed);
+                return static_cast<int64_t>(queue.pending.size()) >=
+                       target;
             });
-            if (queue->stopping && queue->pending.empty())
-                return;
-            // Give peers a chance to join the batch, up to the
-            // live dispatch target (re-read inside the predicate:
-            // a retarget mid-wait takes effect immediately).
-            target = queue->target.load(std::memory_order_relaxed);
-            if (static_cast<int64_t>(queue->pending.size()) <
-                target && !queue->stopping) {
-                queue->cv.wait_for(lock, max_delay, [&]() {
-                    target = queue->target.load(
-                        std::memory_order_relaxed);
-                    return queue->stopping ||
-                           static_cast<int64_t>(
-                               queue->pending.size()) >= target;
-                });
-            }
-            // Fair-share gate: hold the assembled-but-undispatched
-            // batch until the scheduler grants this model's tenant
-            // a dispatch slot. The queue mutex is released while
-            // parked, so admission keeps running; a shutdown wakes
-            // the wait and dispatches the remainder.
-            if (gate_ && !queue->stopping) {
-                const std::string &name = queue->name;
-                while (!queue->stopping && !gate_(name)) {
-                    queue->cv.wait_for(
-                        lock, std::chrono::milliseconds(1));
-                }
-                target = queue->target.load(
-                    std::memory_order_relaxed);
-            }
-            int64_t take = std::min<int64_t>(
-                target,
-                static_cast<int64_t>(queue->pending.size()));
-            batch.assign(
-                std::make_move_iterator(queue->pending.begin()),
-                std::make_move_iterator(queue->pending.begin() +
-                                        take));
-            queue->pending.erase(queue->pending.begin(),
-                                 queue->pending.begin() + take);
-            pendingTotal_.fetch_sub(take, std::memory_order_relaxed);
-            if (queue->depthGauge) {
-                queue->depthGauge->set(
-                    static_cast<double>(queue->pending.size()));
-            }
-        }
-        if (batch.empty())
+    }
+    // Fair-share gate: hold the assembled-but-undispatched batch
+    // until the scheduler grants this model's tenant a dispatch
+    // slot. The gate runs without the queue lock, so admission and
+    // other leaders keep running while this one is parked.
+    while (gate_) {
+        lock.unlock();
+        bool open = gate_(queue.name);
+        lock.lock();
+        if (open)
+            break;
+        queue.cv.wait_for(lock, std::chrono::milliseconds(1));
+    }
+    target = queue.target.load(std::memory_order_relaxed);
+    int64_t take = std::min<int64_t>(
+        target, static_cast<int64_t>(queue.pending.size()));
+    std::vector<Pending *> taken(queue.pending.begin(),
+                                 queue.pending.begin() + take);
+    queue.pending.erase(queue.pending.begin(),
+                        queue.pending.begin() + take);
+    for (Pending *p : taken)
+        p->state = Pending::Taken;
+    pendingTotal_.fetch_sub(take, std::memory_order_relaxed);
+    if (queue.depthGauge)
+        queue.depthGauge->set(static_cast<double>(queue.pending.size()));
+    lock.unlock();
+    telemetry::CounterDelta counters = runBatch(queue, taken, target);
+    lock.lock();
+    for (Pending *p : taken)
+        p->state = Pending::Done;
+    return counters;
+}
+
+telemetry::CounterDelta
+BatchingExecutor::runBatch(ModelQueue &queue,
+                           const std::vector<Pending *> &taken,
+                           int64_t target)
+{
+    // Deadline enforcement at dequeue: shed expired queries BEFORE
+    // the forward pass. Spending a batch slot on an answer nobody is
+    // waiting for wastes compute exactly when the service is most
+    // behind.
+    auto dispatch_time = std::chrono::steady_clock::now();
+    std::vector<Pending *> batch;
+    for (Pending *p : taken) {
+        if (p->deadline > dispatch_time) {
+            batch.push_back(p);
             continue;
-
-        // Deadline enforcement at dequeue: shed expired queries
-        // BEFORE the forward pass. Spending a batch slot on an
-        // answer nobody is waiting for wastes compute exactly when
-        // the service is most behind.
-        {
-            auto now = std::chrono::steady_clock::now();
-            size_t kept = 0;
-            for (size_t i = 0; i < batch.size(); ++i) {
-                if (batch[i].deadline <= now) {
-                    shedDeadline_.fetch_add(
-                        1, std::memory_order_relaxed);
-                    if (queue->shedDeadlineCounter)
-                        queue->shedDeadlineCounter->inc();
-                    batch[i].promise.set_value(
-                        {Status::deadlineExceeded(
-                             "deadline expired before forward "
-                             "pass"),
-                         {}});
-                    continue;
-                }
-                if (kept != i)
-                    batch[kept] = std::move(batch[i]);
-                ++kept;
-            }
-            batch.resize(kept);
         }
-        if (batch.empty())
-            continue;
+        shedDeadline_.fetch_add(1, std::memory_order_relaxed);
+        if (queue.shedDeadlineCounter)
+            queue.shedDeadlineCounter->inc();
+        p->result = {Status::deadlineExceeded(
+                         "deadline expired before forward pass"),
+                     {}};
+    }
+    if (batch.empty())
+        return {};
 
-        auto dispatch_time = std::chrono::steady_clock::now();
-        if (queue->queueWaitHist) {
-            for (const auto &p : batch) {
-                queue->queueWaitHist->record(
-                    std::chrono::duration<double>(
-                        dispatch_time - p.enqueued).count());
-            }
-        }
-
-        const nn::Network &net = *queue->network;
-        int64_t total_rows = 0;
-        for (const auto &p : batch)
-            total_rows += p.rows;
-
-        // Trace when any query in the batch carries a sampled
-        // context; the batch spans link back to every such trace.
-        telemetry::Tracer *tracer = tracer_;
-        const Pending *primary = nullptr;
-        std::string trace_ids;
-        if (tracer) {
-            for (const auto &p : batch) {
-                if (!p.trace.valid() || !p.trace.sampled())
-                    continue;
-                if (!primary)
-                    primary = &p;
-                if (!trace_ids.empty())
-                    trace_ids += ",";
-                trace_ids += telemetry::traceIdToHex(
-                    p.trace.traceId);
-            }
-        }
-        const std::string track = "batch-" + net.name();
-        int64_t dispatch_us = 0;
-        if (primary) {
-            dispatch_us = telemetry::traceNowUs();
-            for (const auto &p : batch) {
-                if (!p.trace.valid() || !p.trace.sampled())
-                    continue;
-                telemetry::TraceEvent e;
-                e.name = "queue_wait";
-                e.category = "batch";
-                e.track = track;
-                e.traceId = p.trace.traceId;
-                e.spanId = tracer->nextSpanId();
-                e.parentSpanId = p.parentSpan;
-                e.startUs = p.enqueuedUs;
-                e.durationUs = dispatch_us - p.enqueuedUs;
-                e.args.emplace_back(
-                    "rows", strprintf("%lld",
-                                      static_cast<long long>(
-                                          p.rows)));
-                tracer->record(std::move(e));
-            }
-        }
-
-        // Stack all queries into one combined input matrix.
-        nn::Tensor input(net.inputShape().withBatch(total_rows));
-        int64_t row = 0;
-        for (const auto &p : batch) {
-            std::memcpy(input.sample(row), p.data.data(),
-                        p.data.size() * sizeof(float));
-            row += p.rows;
-        }
-
-        std::optional<ForwardSpans> spans;
-        if (primary) {
-            spans = ForwardSpans{
-                tracer, "batch", track, primary->trace.traceId,
-                primary->parentSpan,
-                {{"batch_rows",
-                  strprintf("%lld", static_cast<long long>(total_rows))},
-                 {"queries", strprintf("%zu", batch.size())},
-                 {"trace_ids", trace_ids}}};
-        }
-        ForwardPass pass =
-            runForward(net, input, spans ? &*spans : nullptr);
-        int64_t out_elems = net.outputShape().sampleElems();
-
-        // Timed from dispatch rather than pass.seconds, so a query's
-        // queue wait plus the batch's forward time covers its whole
-        // stay in the executor (batch stacking included).
-        double forward_seconds = std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - dispatch_time)
-                .count();
-        if (queue->forwardHist) {
-            queue->forwardHist->record(forward_seconds);
-            queue->batchRowsHist->record(
-                static_cast<double>(total_rows));
-            queue->batchesCounter->inc();
-            // Occupancy against the *live* dispatch target: with
-            // an adaptive scheduler the static maxQueries would
-            // read misleadingly low after a shrink (and > 1.0
-            // after a grow past a stale denominator).
-            queue->occupancyGauge->set(
-                static_cast<double>(batch.size()) /
-                static_cast<double>(std::max<int64_t>(target, 1)));
-            queue->forwardCyclesHist->record(
-                static_cast<double>(pass.counters.work()));
-            if (pass.counters.hardware) {
-                queue->forwardInstructionsHist->record(
-                    static_cast<double>(pass.counters.instructions));
-                queue->forwardIpcHist->record(pass.counters.ipc());
-                queue->forwardCacheMissHist->record(
-                    static_cast<double>(pass.counters.cacheMisses));
-            }
-        }
-
-        if (observer_) {
-            observer_(queue->name,
-                      static_cast<int64_t>(batch.size()),
-                      forward_seconds);
-        }
-
-        // Count before fulfilling the promises: a caller must never
-        // observe a resolved future with stale counters.
-        batches_.fetch_add(1, std::memory_order_relaxed);
-        queries_.fetch_add(batch.size(), std::memory_order_relaxed);
-
-        // Scatter results back to their queries, each annotated
-        // with its own view of the batch (position, queue wait,
-        // admit depth) for the flight recorder.
-        row = 0;
-        for (size_t i = 0; i < batch.size(); ++i) {
-            Pending &p = batch[i];
-            std::vector<float> slice(
-                pass.output.sample(row),
-                pass.output.sample(row) + p.rows * out_elems);
-            row += p.rows;
-            InferenceResult result{Status::ok(), std::move(slice),
-                                   total_rows};
-            result.batchQueries =
-                static_cast<int64_t>(batch.size());
-            result.batchPosition = static_cast<int64_t>(i);
-            result.admitQueueDepth = p.admitDepth;
-            result.queueWaitSeconds =
+    if (queue.queueWaitHist) {
+        for (const Pending *p : batch) {
+            queue.queueWaitHist->record(
                 std::chrono::duration<double>(dispatch_time -
-                                              p.enqueued)
-                    .count();
-            result.forwardSeconds = forward_seconds;
-            p.promise.set_value(std::move(result));
+                                              p->enqueued)
+                    .count());
         }
     }
-}
 
+    const nn::Network &net = *queue.network;
+    int64_t total_rows = 0;
+    for (const Pending *p : batch)
+        total_rows += p->rows;
+
+    // Trace when any query in the batch carries a sampled context;
+    // the batch spans link back to every such trace.
+    telemetry::Tracer *tracer = tracer_;
+    const Pending *primary = nullptr;
+    std::string trace_ids;
+    if (tracer) {
+        for (const Pending *p : batch) {
+            if (!p->trace.valid() || !p->trace.sampled())
+                continue;
+            if (!primary)
+                primary = p;
+            if (!trace_ids.empty())
+                trace_ids += ",";
+            trace_ids += telemetry::traceIdToHex(p->trace.traceId);
+        }
+    }
+    if (primary) {
+        const std::string track = "batch-" + net.name();
+        int64_t dispatch_us = telemetry::traceNowUs();
+        for (const Pending *p : batch) {
+            if (!p->trace.valid() || !p->trace.sampled())
+                continue;
+            telemetry::TraceEvent e;
+            e.name = "queue_wait";
+            e.category = "batch";
+            e.track = track;
+            e.traceId = p->trace.traceId;
+            e.spanId = tracer->nextSpanId();
+            e.parentSpanId = p->parentSpan;
+            e.startUs = p->enqueuedUs;
+            e.durationUs = dispatch_us - p->enqueuedUs;
+            e.args.emplace_back(
+                "rows",
+                strprintf("%lld", static_cast<long long>(p->rows)));
+            tracer->record(std::move(e));
+        }
+    }
+
+    // Stack all queries into one combined input matrix.
+    nn::Tensor input(net.inputShape().withBatch(total_rows));
+    int64_t row = 0;
+    for (const Pending *p : batch) {
+        std::memcpy(input.sample(row), p->data.data(),
+                    p->data.size() * sizeof(float));
+        row += p->rows;
+    }
+
+    std::optional<ForwardSpans> spans;
+    if (primary) {
+        spans = ForwardSpans{
+            tracer, primary->trace.traceId, primary->parentSpan,
+            {{"batch_rows",
+              strprintf("%lld", static_cast<long long>(total_rows))},
+             {"queries", strprintf("%zu", batch.size())},
+             {"trace_ids", trace_ids}}};
+    }
+    ForwardPass pass;
+    try {
+        pass = runForward(net, input, spans ? &*spans : nullptr);
+    } catch (const FatalError &e) {
+        for (Pending *p : batch)
+            p->result = {Status::internal(e.what()), {}};
+        return {};
+    }
+    int64_t out_elems = net.outputShape().sampleElems();
+
+    // Timed from dispatch, so a query's queue wait plus the batch's
+    // forward time covers its whole stay in the executor (batch
+    // stacking included).
+    double forward_seconds = std::chrono::duration<double>(
+        std::chrono::steady_clock::now() - dispatch_time).count();
+    if (queue.forwardHist) {
+        queue.forwardHist->record(forward_seconds);
+        queue.batchRowsHist->record(static_cast<double>(total_rows));
+        queue.batchesCounter->inc();
+        // Occupancy against the *live* dispatch target: with an
+        // adaptive scheduler the static maxQueries would read
+        // misleadingly low after a shrink (and > 1.0 after a grow
+        // past a stale denominator).
+        queue.occupancyGauge->set(
+            static_cast<double>(batch.size()) /
+            static_cast<double>(std::max<int64_t>(target, 1)));
+        queue.forwardCyclesHist->record(
+            static_cast<double>(pass.counters.work()));
+        if (pass.counters.hardware) {
+            queue.forwardInstructionsHist->record(
+                static_cast<double>(pass.counters.instructions));
+            queue.forwardIpcHist->record(pass.counters.ipc());
+            queue.forwardCacheMissHist->record(
+                static_cast<double>(pass.counters.cacheMisses));
+        }
+    }
+
+    if (observer_) {
+        observer_(queue.name, static_cast<int64_t>(batch.size()),
+                  forward_seconds);
+    }
+
+    // Count before answering: a caller must never observe its
+    // result with stale counters.
+    batches_.fetch_add(1, std::memory_order_relaxed);
+    queries_.fetch_add(batch.size(), std::memory_order_relaxed);
+
+    // Scatter results back to their queries, each annotated with
+    // its own view of the batch (position, queue wait, admit depth)
+    // for the flight recorder.
+    row = 0;
+    for (size_t i = 0; i < batch.size(); ++i) {
+        Pending &p = *batch[i];
+        InferenceResult &result = p.result;
+        result.status = Status::ok();
+        result.output.assign(
+            pass.output.sample(row),
+            pass.output.sample(row) + p.rows * out_elems);
+        row += p.rows;
+        result.batchRows = total_rows;
+        result.batchQueries = static_cast<int64_t>(batch.size());
+        result.batchPosition = static_cast<int64_t>(i);
+        result.admitQueueDepth = p.admitDepth;
+        result.queueWaitSeconds =
+            std::chrono::duration<double>(dispatch_time - p.enqueued)
+                .count();
+        result.forwardSeconds = forward_seconds;
+    }
+    return pass.counters;
+}
 void
 BatchingExecutor::setBatchTarget(const std::string &model,
                                  int64_t target)
@@ -458,7 +403,7 @@ BatchingExecutor::setBatchTarget(const std::string &model,
         return;
     ModelQueue *queue = it->second.get();
     queue->target.store(target, std::memory_order_relaxed);
-    // Wake the dispatcher: a smaller target may make the current
+    // Wake the leader: a smaller target may make the current
     // backlog dispatchable right now.
     std::lock_guard<std::mutex> qlock(queue->mutex);
     queue->cv.notify_all();

@@ -14,16 +14,15 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "common/status.hh"
 #include "core/model_registry.hh"
 #include "telemetry/metrics.hh"
+#include "telemetry/perf_counters.hh"
 #include "telemetry/trace_context.hh"
 
 namespace djinn {
@@ -104,12 +103,23 @@ struct InferenceResult {
 
     /** Seconds of the combined forward pass that served it. */
     double forwardSeconds = 0.0;
+
+    /** Counter movement of the passes this caller led while it
+     * waited. The executor already charged it to `forward`, so a
+     * caller timing its wait subtracts it. */
+    telemetry::CounterDelta ledCounters{};
 };
 
 /**
- * Batches inference requests per model and executes combined
- * forward passes on dispatcher threads (one per model, created
- * lazily). Thread-safe.
+ * Batches inference requests per model and runs the combined
+ * forward passes on the callers' own threads (leader/follower; see
+ * DESIGN.md §7). Thread-safe. A caller that finds a free leader
+ * slot leads one pass over the front of its model's queue, and
+ * leads again only while its own query is still queued; every
+ * queued query's caller is either leading or waiting for a slot.
+ * With maxQueries > 1 a model has one leader at a time; with
+ * maxQueries == 1 batching cannot happen, so every caller leads its
+ * own pass at once.
  */
 class BatchingExecutor
 {
@@ -125,9 +135,6 @@ class BatchingExecutor
     BatchingExecutor(const ModelRegistry &registry,
                      const BatchOptions &options,
                      telemetry::MetricRegistry *metrics = nullptr);
-
-    /** Stops dispatcher threads and fails queued queries. */
-    ~BatchingExecutor();
 
     BatchingExecutor(const BatchingExecutor &) = delete;
     BatchingExecutor &operator=(const BatchingExecutor &) = delete;
@@ -146,34 +153,25 @@ class BatchingExecutor
     }
 
     /**
-     * Submit one query: @p rows inputs for @p model, flattened into
-     * @p data (rows x sample elements).
+     * Run one query: @p rows inputs for @p model, flattened into
+     * @p data (rows x sample elements). Blocks until the query is
+     * answered; the caller may lead passes for other queries while
+     * it waits, and @p data is read in place.
      *
      * Admission control applies: a submit against a full queue
-     * resolves immediately with an Overloaded status (the query is
+     * returns at once with an Overloaded status (the query is
      * never executed). A query whose @p deadline has passed when
      * its batch is assembled is shed before the forward pass with
-     * a DeadlineExceeded status.
-     *
-     * @return a future resolving to the query's output rows.
+     * a DeadlineExceeded status. When @p trace is valid and a
+     * tracer is attached, the leader emits queue-wait,
+     * forward-pass, and per-layer spans linked back to @p trace
+     * under @p parent_span (the server-side request span).
      */
-    std::future<InferenceResult> submit(
-        const std::string &model, int64_t rows,
-        std::vector<float> data,
-        Deadline deadline = noDeadline());
-
-    /**
-     * Submit one traced query. When @p trace is valid and a tracer
-     * is attached, the dispatcher emits queue-wait, forward-pass,
-     * and per-layer spans linked back to @p trace under
-     * @p parent_span (the server-side request span).
-     */
-    std::future<InferenceResult> submit(
-        const std::string &model, int64_t rows,
-        std::vector<float> data,
-        const telemetry::TraceContext &trace,
-        uint64_t parent_span,
-        Deadline deadline = noDeadline());
+    InferenceResult submit(const std::string &model, int64_t rows,
+                           const std::vector<float> &data,
+                           Deadline deadline = noDeadline(),
+                           const telemetry::TraceContext &trace = {},
+                           uint64_t parent_span = 0);
 
     /**
      * Attach a span destination. Call before serving traffic; the
@@ -182,11 +180,12 @@ class BatchingExecutor
     void setTracer(telemetry::Tracer *tracer) { tracer_ = tracer; }
 
     /**
-     * May @p model dispatch a batch right now? A dispatcher whose
-     * gate answers false parks (rechecking every millisecond and
-     * on queue activity) with its queue intact — the fair-share
-     * scheduler's deficit accounting hook. Call before serving
-     * traffic.
+     * May @p model dispatch a batch right now? A leader whose gate
+     * answers false parks (rechecking every millisecond and on
+     * queue activity) with its queue intact — the fair-share
+     * scheduler's deficit accounting hook. Called without the
+     * queue lock, possibly by several leaders at once. Call before
+     * serving traffic.
      */
     using DispatchGate = std::function<bool(const std::string &)>;
     void setDispatchGate(DispatchGate gate)
@@ -198,7 +197,7 @@ class BatchingExecutor
      * Called after every combined forward pass with the model, the
      * number of queries served, and the pass's service seconds —
      * the scheduler's service-time calibration and dispatch-charge
-     * hook. Runs on the dispatcher thread; call before serving
+     * hook. Runs on the leader's thread; call before serving
      * traffic.
      */
     using BatchObserver = std::function<void(
@@ -210,7 +209,7 @@ class BatchingExecutor
 
     /**
      * Set @p model's live dispatch target (clamped to
-     * [1, maxQueries]). The dispatcher assembles batches toward
+     * [1, maxQueries]). Leaders assemble batches toward
      * the target instead of the static maxQueries, the admission
      * cap re-derives from it, and occupancy is reported against
      * it. Safe to call at any time; targets for models with no
@@ -259,10 +258,10 @@ class BatchingExecutor
     }
 
   private:
+    /** One caller's query; lives on the caller's stack. */
     struct Pending {
         int64_t rows;
-        std::vector<float> data;
-        std::promise<InferenceResult> promise;
+        const std::vector<float> &data;
         std::chrono::steady_clock::time_point enqueued;
 
         /** Originating trace; invalid for untraced queries. */
@@ -279,12 +278,26 @@ class BatchingExecutor
 
         /** Queue depth seen at enqueue, before this query joined. */
         int64_t admitDepth = 0;
+
+        /** Dequeued by a leader, then answered (guarded by the
+         * queue mutex). */
+        enum State { Queued, Taken, Done } state = Queued;
+
+        /** Written by the leader that serves or sheds the query. */
+        InferenceResult result{};
     };
 
     struct ModelQueue {
         std::mutex mutex;
+
+        /** Signalled on every enqueue, retarget and finished
+         * pass: a leader waits on it for peers, a caller for its
+         * answer or a free leader slot. */
         std::condition_variable cv;
-        std::vector<Pending> pending;
+        std::vector<Pending *> pending;
+
+        /** Callers leading a pass right now. */
+        int64_t leaders = 0;
         /** The served model name — the registry key, which for a
          * tenant instance differs from network->name() (instances
          * share the base network's weights; see
@@ -293,8 +306,6 @@ class BatchingExecutor
          * stays per-instance. */
         std::string name;
         std::shared_ptr<const nn::Network> network;
-        std::thread dispatcher;
-        bool stopping = false;
 
         /** Live dispatch target in [1, maxQueries]; atomic so the
          * scheduler can retarget without the queue mutex. */
@@ -312,7 +323,7 @@ class BatchingExecutor
         telemetry::Counter *batchesCounter = nullptr;
 
         // Cycle accounting for the pass's forward phase, recorded
-        // on the dispatcher thread (the thread that burns the
+        // on the leader's thread (the thread that burns the
         // cycles; see DESIGN.md "Cycle accounting").
         telemetry::LogHistogram *forwardCyclesHist = nullptr;
         telemetry::LogHistogram *forwardInstructionsHist = nullptr;
@@ -324,7 +335,19 @@ class BatchingExecutor
         telemetry::Counter *shedDeadlineCounter = nullptr;
     };
 
-    void dispatchLoop(ModelQueue *queue);
+    /**
+     * Lead one pass over @p queue's front and answer every query it
+     * takes; called and returns with @p lock held. Returns the
+     * pass's counter movement (zero when no pass ran).
+     */
+    telemetry::CounterDelta lead(ModelQueue &queue,
+                                 std::unique_lock<std::mutex> &lock);
+
+    /** Shed the expired queries of @p taken and run one pass over
+     * the rest, writing every result; no lock held. */
+    telemetry::CounterDelta runBatch(ModelQueue &queue,
+                                     const std::vector<Pending *> &taken,
+                                     int64_t target);
     ModelQueue *queueFor(const std::string &model,
                          Status &error);
 
@@ -341,7 +364,6 @@ class BatchingExecutor
     /** Targets set before a model's queue exists, applied at queue
      * creation. Guarded by mapMutex_. */
     std::map<std::string, int64_t> pendingTargets_;
-    bool stopping_ = false;
 
     std::atomic<uint64_t> batches_{0};
     std::atomic<uint64_t> queries_{0};

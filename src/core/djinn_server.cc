@@ -17,7 +17,6 @@
 #include "common/thread_pool.hh"
 #include "core/fault.hh"
 #include "core/http_endpoint.hh"
-#include "core/perf_sink.hh"
 #include "telemetry/attribution.hh"
 #include "telemetry/build_info.hh"
 #include "telemetry/dashboard.hh"
@@ -39,7 +38,6 @@ const char *const connectionsTotalName = "djinn_connections_total";
 const char *const acceptErrorsName = "djinn_accept_errors";
 const char *const protocolErrorsName = "djinn_protocol_errors";
 const char *const ioTimeoutsName = "djinn_io_timeouts_total";
-const char *const shedTotalName = "djinn_shed_total";
 
 /** Wire-status label for the error counter. */
 const char *
@@ -109,15 +107,18 @@ DjinnServer::DjinnServer(const ModelRegistry &registry,
     : registry_(registry), config_(config),
       tracer_(config.traceCapacity),
       flightRecorder_(config.flightCapacity, config.flightReservoir,
-                      &metrics_)
+                      &metrics_),
+      // With batching off every query leads its own pass at once.
+      batcher_(registry_,
+               config.batching ? config.batchOptions
+                               : BatchOptions{1, 0.0,
+                                              config.batchOptions
+                                                  .maxQueueDepth},
+               &metrics_)
 {
-    if (config_.batching) {
-        batcher_ = std::make_unique<BatchingExecutor>(
-            registry_, config_.batchOptions, &metrics_);
-        if (config_.tracing)
-            batcher_->setTracer(&tracer_);
-    }
-    if (config_.adaptiveScheduling && batcher_) {
+    if (config_.tracing)
+        batcher_.setTracer(&tracer_);
+    if (config_.adaptiveScheduling && config_.batching) {
         serve::SchedulerOptions sched_opts =
             config_.schedulerOptions;
         sched_opts.maxBatch = config_.batchOptions.maxQueries;
@@ -136,7 +137,7 @@ DjinnServer::DjinnServer(const ModelRegistry &registry,
         // Calibrate service time and charge the tenant's deficit
         // per dispatched batch; gate dispatches on fair share only
         // when tenants are actually configured.
-        batcher_->setBatchObserver(
+        batcher_.setBatchObserver(
             [sched](const std::string &model, int64_t queries,
                     double seconds) {
                 sched->observeBatch(model, queries, seconds);
@@ -146,7 +147,7 @@ DjinnServer::DjinnServer(const ModelRegistry &registry,
         // it only arms when the sampler will actually run.
         if (!config_.tenantWeights.empty() && config_.tracing &&
             config_.samplerPeriod > 0.0) {
-            batcher_->setDispatchGate(
+            batcher_.setDispatchGate(
                 [sched](const std::string &model) {
                     return sched->allowDispatch(model);
                 });
@@ -317,14 +318,12 @@ DjinnServer::start()
                 common::ThreadPool &pool = common::computePool();
                 metrics_.gauge("djinn_compute_pool_busy")
                     .set(static_cast<double>(pool.activeWorkers()));
-                if (batcher_) {
-                    metrics_.gauge("djinn_batch_queue_depth_total")
-                        .set(static_cast<double>(
-                            batcher_->queueDepthTotal()));
-                }
+                metrics_.gauge("djinn_batch_queue_depth_total")
+                    .set(static_cast<double>(
+                        batcher_.queueDepthTotal()));
                 if (slo_)
                     slo_->updateBurnRates();
-                if (scheduler_ && batcher_) {
+                if (scheduler_) {
                     // One control-loop step: feed the scheduler
                     // the latest backlog and burn signals, advance
                     // its EWMAs and deficits, then push the new
@@ -332,7 +331,7 @@ DjinnServer::start()
                     for (const auto &model :
                          registry_.modelNames()) {
                         scheduler_->setBacklog(
-                            model, batcher_->queueDepth(model));
+                            model, batcher_.queueDepth(model));
                         if (slo_) {
                             scheduler_->observeBurnRate(
                                 model, slo_->burnRate(model));
@@ -342,7 +341,7 @@ DjinnServer::start()
                                      1e-6);
                     for (const auto &model :
                          registry_.modelNames()) {
-                        batcher_->setBatchTarget(
+                        batcher_.setBatchTarget(
                             model,
                             scheduler_->batchTarget(model));
                     }
@@ -1065,106 +1064,48 @@ DjinnServer::handleInference(const Request &request,
     }
 
     auto start = std::chrono::steady_clock::now();
-    try {
-        if (batcher_) {
-            // The batching executor records the queue-wait and
-            // (per-pass) forward phases itself, and emits the batch
-            // and per-layer spans for traced requests. Cycle
-            // accounting: the worker's blocked span (submit to
-            // resolution) is this request's queue_wait work — near
-            // zero cycles while parked, honestly reflecting that
-            // waiting burns no CPU — while the pass's forward
-            // cycles are recorded per batch by the dispatcher.
-            if (scheduler_)
-                scheduler_->observeArrival(request.model, 1);
-            telemetry::CounterScope wait_scope;
-            auto future =
-                wire ? batcher_->submit(request.model, rows,
-                                        request.payload, wire->trace,
-                                        wire->serverSpan, deadline)
-                     : batcher_->submit(request.model, rows,
-                                        request.payload, deadline);
-            InferenceResult result = future.get();
-            if (trace) {
-                trace->recordWork(telemetry::Phase::QueueWait,
-                                  wait_scope.stop());
-            }
-            if (flight) {
-                flight->queueWaitSeconds = result.queueWaitSeconds;
-                flight->forwardSeconds = result.forwardSeconds;
-                flight->batchQueries =
-                    static_cast<int32_t>(result.batchQueries);
-                flight->batchRows =
-                    static_cast<int32_t>(result.batchRows);
-                flight->batchPosition =
-                    static_cast<int32_t>(result.batchPosition);
-                flight->admitQueueDepth =
-                    static_cast<int32_t>(result.admitQueueDepth);
-            }
-            if (!result.status.isOk()) {
-                // Admission and deadline sheds keep their own wire
-                // statuses so clients can tell "retry after
-                // backoff" (Overloaded — never executed) from a
-                // genuine failure.
-                if (result.status.code() == StatusCode::Overloaded)
-                    response.status = WireStatus::Overloaded;
-                else if (result.status.code() ==
-                         StatusCode::DeadlineExceeded)
-                    response.status = WireStatus::DeadlineExceeded;
-                else
-                    response.status = WireStatus::ServerError;
-                response.message = result.status.message();
-                return response;
-            }
-            response.payload = std::move(result.output);
-        } else {
-            // Without the batcher there is no dequeue point, so
-            // enforce the deadline here: shed before the forward
-            // pass rather than burn a full pass on a result the
-            // client has already written off.
-            if (deadline != BatchingExecutor::noDeadline() &&
-                std::chrono::steady_clock::now() >= deadline) {
-                metrics_
-                    .counter(shedTotalName,
-                             {{"model", request.model},
-                              {"reason", "deadline"}})
-                    .inc();
-                response.status = WireStatus::DeadlineExceeded;
-                response.message =
-                    "deadline expired before forward pass";
-                return response;
-            }
-            nn::Tensor input(network->inputShape().withBatch(rows));
-            std::memcpy(input.data(), request.payload.data(),
-                        request.payload.size() * sizeof(float));
-            std::optional<ForwardSpans> spans;
-            if (wire) {
-                spans = ForwardSpans{&tracer_, "server", wire->track,
-                                     wire->trace.traceId,
-                                     wire->serverSpan, {}};
-            }
-            ForwardPass pass =
-                runForward(*network, input, spans ? &*spans : nullptr);
-            if (flight) {
-                flight->forwardSeconds = pass.seconds;
-                flight->batchQueries = 1;
-                flight->batchRows = static_cast<int32_t>(rows);
-                flight->batchPosition = 0;
-            }
-            if (trace) {
-                trace->record(telemetry::Phase::Forward, pass.seconds);
-                trace->recordWork(telemetry::Phase::Forward,
-                                  pass.counters);
-            }
-            response.payload.assign(
-                pass.output.data(),
-                pass.output.data() + pass.output.elems());
-        }
-    } catch (const FatalError &e) {
-        response.status = WireStatus::ServerError;
-        response.message = e.what();
+    // The executor records the queue-wait and (per-pass) forward
+    // phases itself, and emits the batch and per-layer spans for
+    // traced requests. Cycle accounting: this worker's span from
+    // submit to answer is the request's queue_wait work, minus any
+    // pass the worker led meanwhile, which the executor charged to
+    // forward.
+    if (scheduler_)
+        scheduler_->observeArrival(request.model, 1);
+    telemetry::CounterScope wait_scope;
+    InferenceResult result = batcher_.submit(
+        request.model, rows, request.payload, deadline,
+        wire ? wire->trace : telemetry::TraceContext{},
+        wire ? wire->serverSpan : 0);
+    if (trace) {
+        telemetry::CounterDelta wait = wait_scope.stop();
+        wait.subtract(result.ledCounters);
+        trace->recordWork(telemetry::Phase::QueueWait, wait);
+    }
+    if (flight) {
+        flight->queueWaitSeconds = result.queueWaitSeconds;
+        flight->forwardSeconds = result.forwardSeconds;
+        flight->batchQueries = static_cast<int32_t>(result.batchQueries);
+        flight->batchRows = static_cast<int32_t>(result.batchRows);
+        flight->batchPosition =
+            static_cast<int32_t>(result.batchPosition);
+        flight->admitQueueDepth =
+            static_cast<int32_t>(result.admitQueueDepth);
+    }
+    if (!result.status.isOk()) {
+        // Admission and deadline sheds keep their own wire statuses
+        // so clients can tell "retry after backoff" (Overloaded —
+        // never executed) from a genuine failure.
+        if (result.status.code() == StatusCode::Overloaded)
+            response.status = WireStatus::Overloaded;
+        else if (result.status.code() == StatusCode::DeadlineExceeded)
+            response.status = WireStatus::DeadlineExceeded;
+        else
+            response.status = WireStatus::ServerError;
+        response.message = result.status.message();
         return response;
     }
+    response.payload = std::move(result.output);
     double seconds = std::chrono::duration<double>(
         std::chrono::steady_clock::now() - start).count();
     if (trace)

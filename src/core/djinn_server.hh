@@ -47,7 +47,12 @@ struct ServerConfig {
     /** Bind address; defaults to loopback. */
     std::string bindAddress = "127.0.0.1";
 
-    /** Enable cross-request batching per model (Section 5.1). */
+    /**
+     * Enable cross-request batching per model (Section 5.1). Every
+     * query runs through the batching executor either way; off
+     * runs it with maxQueries 1 and maxDelay 0, so each query
+     * leads its own pass at once.
+     */
     bool batching = false;
 
     /** Batching policy when enabled. */
@@ -391,7 +396,7 @@ class DjinnServer
     telemetry::MetricRegistry metrics_;
     telemetry::Tracer tracer_;
     telemetry::FlightRecorder flightRecorder_;
-    std::unique_ptr<BatchingExecutor> batcher_;
+    BatchingExecutor batcher_;
     std::unique_ptr<serve::AdaptiveScheduler> scheduler_;
     std::unique_ptr<telemetry::SloTracker> slo_;
     std::unique_ptr<telemetry::TimeSeriesStore> timeseries_;

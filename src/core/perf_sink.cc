@@ -1,7 +1,5 @@
 #include "core/perf_sink.hh"
 
-#include <chrono>
-
 #include "common/logging.hh"
 #include "telemetry/tracer.hh"
 
@@ -25,22 +23,19 @@ runForward(const nn::Network &net, const nn::Tensor &input,
     ForwardPass pass;
     CountingProfileSink profile;
     int64_t start_us = spans ? telemetry::traceNowUs() : 0;
-    auto start = std::chrono::steady_clock::now();
     telemetry::CounterScope scope;
     pass.output = net.forward(input, spans ? &profile : nullptr);
     pass.counters = scope.stop();
-    pass.seconds = std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - start)
-                       .count();
     if (!spans)
         return pass;
 
     telemetry::Tracer &tracer = *spans->tracer;
+    const std::string track = "batch-" + net.name();
     uint64_t fwd_span = tracer.nextSpanId();
     telemetry::TraceEvent fwd;
     fwd.name = "forward";
-    fwd.category = spans->category;
-    fwd.track = spans->track;
+    fwd.category = "batch";
+    fwd.track = track;
     fwd.traceId = spans->traceId;
     fwd.spanId = fwd_span;
     fwd.parentSpanId = spans->parentSpanId;
@@ -57,7 +52,7 @@ runForward(const nn::Network &net, const nn::Tensor &input,
         telemetry::TraceEvent e;
         e.name = lp.name;
         e.category = "layer";
-        e.track = spans->track;
+        e.track = track;
         e.traceId = spans->traceId;
         e.spanId = tracer.nextSpanId();
         e.parentSpanId = fwd_span;

@@ -1,11 +1,9 @@
 /**
  * @file
- * The forward pass as both serving paths run it. runForward() wraps
- * Network::forward in a per-thread counter scope and, for a traced
- * pass, profiles every layer and records a `forward` span with one
- * `layer` child per executed layer. The connection worker (inline
- * path) and the batch dispatcher (batched path) differ only in what
- * they stage around the call and which track the spans land on.
+ * The forward pass as the batching executor runs it. runForward()
+ * wraps Network::forward in a per-thread counter scope and, for a
+ * traced pass, profiles every layer and records a `forward` span
+ * with one `layer` child per executed layer.
  *
  * CountingProfileSink augments per-layer wall profiles with
  * hardware counter deltas: onLayerStart snapshots the executing
@@ -79,12 +77,6 @@ struct ForwardSpans {
     /** Ring the spans are recorded into. */
     telemetry::Tracer *tracer = nullptr;
 
-    /** Category of the `forward` span ("server" or "batch"). */
-    std::string category;
-
-    /** Track both the `forward` and the `layer` spans land on. */
-    std::string track;
-
     /** Trace the spans belong to. */
     uint64_t traceId = 0;
 
@@ -99,16 +91,14 @@ struct ForwardSpans {
 struct ForwardPass {
     nn::Tensor output;
 
-    /** Wall time of Network::forward, seconds. */
-    double seconds = 0.0;
-
     /** The calling thread's counter movement over the pass. */
     telemetry::CounterDelta counters;
 };
 
 /**
  * Run @p net on @p input. With @p spans the pass is profiled per
- * layer and recorded as a `forward` span whose `layer` children are
+ * layer and recorded, on track `batch-<net name>`, as a `batch`
+ * category `forward` span whose `layer` children are
  * laid out sequentially by their measured durations, each carrying
  * `kind`, `flops`, `activation_bytes` and, with hardware counters,
  * `cycles`, `instructions` and `ipc`. Null @p spans runs the pass

@@ -6,6 +6,7 @@
 
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
+#include "nn/scratch.hh"
 
 namespace djinn {
 namespace nn {
@@ -221,11 +222,8 @@ sgemm(Trans trans_a, Trans trans_b, int64_t m, int64_t n, int64_t k,
     int64_t npanels = (n + NR - 1) / NR;
     int64_t kc0 = std::min(KC, k);
 
-    // The B pack buffer is shared by all row tasks of one k slice;
-    // thread-local so repeated calls from the same thread reuse it.
-    static thread_local std::vector<float> bpack_tls;
-    std::vector<float> &bpack = bpack_tls;
-    bpack.resize(static_cast<size_t>(npanels) * kc0 * NR);
+    // The B pack buffer is shared by all row tasks of one k slice.
+    Scratch<float> bpack(static_cast<size_t>(npanels) * kc0 * NR);
 
     for (int64_t k0 = 0; k0 < k; k0 += KC) {
         int64_t kb = std::min(KC, k - k0);

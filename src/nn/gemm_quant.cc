@@ -28,6 +28,7 @@
 
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
+#include "nn/scratch.hh"
 
 namespace djinn {
 namespace nn {
@@ -371,21 +372,16 @@ gemmS8Core(Trans trans_a, Trans trans_b, int64_t m, int64_t n,
     // Whole-problem integer state: the accumulator buffer persists
     // across k slices (exact integer addition), the row/column sums
     // feed the zero-point correction.
-    static thread_local std::vector<int32_t> acc_tls;
-    static thread_local std::vector<int32_t> rowsum_tls;
-    static thread_local std::vector<int32_t> colsum_tls;
-    std::vector<int32_t> &acc = acc_tls;
-    std::vector<int32_t> &rowsum = rowsum_tls;
-    std::vector<int32_t> &colsum = colsum_tls;
-    acc.assign(static_cast<size_t>(m) * n, 0);
-    rowsum.assign(static_cast<size_t>(m), 0);
-    colsum.assign(static_cast<size_t>(n), 0);
+    Scratch<int32_t> acc(static_cast<size_t>(m) * n);
+    Scratch<int32_t> rowsum(static_cast<size_t>(m));
+    Scratch<int32_t> colsum(static_cast<size_t>(n));
+    std::fill_n(acc.data(), m * n, 0);
+    std::fill_n(rowsum.data(), m, 0);
+    std::fill_n(colsum.data(), n, 0);
 
     int64_t kc0 = std::min(KC8, k);
     int64_t kg0 = (kc0 + 3) / 4;
-    static thread_local std::vector<int8_t> bpack_tls;
-    std::vector<int8_t> &bpack = bpack_tls;
-    bpack.resize(static_cast<size_t>(npanels) * kg0 * NR * 4);
+    Scratch<int8_t> bpack(static_cast<size_t>(npanels) * kg0 * NR * 4);
 
     for (int64_t k0 = 0; k0 < k; k0 += KC8) {
         int64_t kb = std::min(KC8, k - k0);
@@ -473,9 +469,7 @@ gemm_bf16(Trans trans_a, Trans trans_b, int64_t m, int64_t n,
     int64_t npanels = (n + NR - 1) / NR;
     int64_t kc0 = std::min(KC, k);
 
-    static thread_local std::vector<float> bpack_tls;
-    std::vector<float> &bpack = bpack_tls;
-    bpack.resize(static_cast<size_t>(npanels) * kc0 * NR);
+    Scratch<float> bpack(static_cast<size_t>(npanels) * kc0 * NR);
 
     for (int64_t k0 = 0; k0 < k; k0 += KC) {
         int64_t kb = std::min(KC, k - k0);

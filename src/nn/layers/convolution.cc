@@ -6,6 +6,7 @@
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
 #include "nn/gemm.hh"
+#include "nn/scratch.hh"
 
 namespace djinn {
 namespace nn {
@@ -207,14 +208,12 @@ ConvolutionLayer::forwardImpl(const Tensor &in, Tensor &out) const
     int64_t patch = in_per_group * kernel_ * kernel_;
 
     // Batch images are partitioned across the compute pool; each
-    // worker keeps its own im2col scratch. For batch 1 the loop
+    // worker borrows its own im2col scratch. For batch 1 the loop
     // runs inline and the GEMM itself parallelizes instead (nested
     // parallelFor calls run serially, so the two levels compose).
     common::computePool().parallelFor(
         0, in.shape().n(), 1, [&](int64_t n0, int64_t n1) {
-            static thread_local std::vector<float> col_tls;
-            std::vector<float> &col_buf = col_tls;
-            col_buf.resize(static_cast<size_t>(patch) * cols);
+            Scratch<float> col_buf(static_cast<size_t>(patch) * cols);
             for (int64_t n = n0; n < n1; ++n) {
                 const float *src = in.sample(n);
                 float *dst = out.sample(n);

@@ -5,6 +5,7 @@
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
 #include "nn/layers/convolution.hh"
+#include "nn/scratch.hh"
 
 namespace djinn {
 namespace nn {
@@ -69,9 +70,7 @@ LocallyConnectedLayer::forwardImpl(const Tensor &in, Tensor &out) const
     auto &pool = common::computePool();
     pool.parallelFor(0, in.shape().n(), 1, [&](int64_t n0,
                                                int64_t n1) {
-        static thread_local std::vector<float> col_tls;
-        std::vector<float> &col_buf = col_tls;
-        col_buf.resize(static_cast<size_t>(patch) * cols);
+        Scratch<float> col_buf(static_cast<size_t>(patch) * cols);
         for (int64_t n = n0; n < n1; ++n) {
             im2col(in.sample(n), is.c(), is.h(), is.w(), kernel_,
                    kernel_, pad_, stride_, col_buf.data());

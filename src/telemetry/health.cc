@@ -200,8 +200,15 @@ HealthMonitor::evaluate(double nowSeconds) const
     // Rule: stall — queued work with frozen progress counters over
     // the stall window: the watchdog for a wedged batcher or pool.
     // Suppressed while draining (the server stops dispatching on
-    // purpose and the queue empties through cancellation).
-    if (!draining) {
+    // purpose and the queue empties through cancellation), and until
+    // the history reaches back over the whole window: two samples a
+    // millisecond apart do not show "no progress for 10 s".
+    window.seconds = 2.0 * options_.stallWindowSeconds;
+    window.name = "djinn_batch_queue_depth_total";
+    const auto history = store_.series(window);
+    const bool covered = !history.empty() && !history[0].points.empty()
+        && history[0].points[0].t <= newest - options_.stallWindowSeconds;
+    if (!draining && covered) {
         window.seconds = options_.stallWindowSeconds;
         window.name = "djinn_batch_queue_depth_total";
         const auto stallDepth =

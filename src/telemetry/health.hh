@@ -92,7 +92,9 @@ struct HealthOptions {
     /** Minimum average depth before slope matters. */
     double queueGrowthMinDepth = 4.0;
 
-    /** Stall watchdog window: queued work with zero progress. */
+    /** Stall watchdog window: queued work with zero progress. The
+     * rule waits until the store holds this much history, so it
+     * cannot fire when capacity x sampler period is shorter. */
     double stallWindowSeconds = 10.0;
 
     /** Sampler heartbeat staleness threshold. */

@@ -5,6 +5,7 @@
 #include <sys/syscall.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <ctime>
@@ -67,6 +68,17 @@ CounterDelta::add(const CounterDelta &other)
     taskClockNs += other.taskClockNs;
     wallNs += other.wallNs;
     hardware = hardware || other.hardware;
+}
+
+void
+CounterDelta::subtract(const CounterDelta &other)
+{
+    cycles -= std::min(cycles, other.cycles);
+    instructions -= std::min(instructions, other.instructions);
+    cacheRefs -= std::min(cacheRefs, other.cacheRefs);
+    cacheMisses -= std::min(cacheMisses, other.cacheMisses);
+    taskClockNs -= std::min(taskClockNs, other.taskClockNs);
+    wallNs -= std::min(wallNs, other.wallNs);
 }
 
 CounterSet::CounterSet() : CounterSet(Config{}) {}

@@ -80,6 +80,10 @@ struct CounterDelta {
 
     /** Accumulate another delta (for per-layer -> per-phase sums). */
     void add(const CounterDelta &other);
+
+    /** Remove a nested delta (a span's work charged elsewhere);
+     * each field stops at zero. */
+    void subtract(const CounterDelta &other);
 };
 
 /**
@@ -142,8 +146,8 @@ class CounterSet
 };
 
 /**
- * The calling thread's lazily created CounterSet. Worker, batch
- * dispatcher, and HTTP threads all account through this so scopes
+ * The calling thread's lazily created CounterSet. Worker and HTTP
+ * threads all account through this so scopes
  * never pay an open() on the hot path.
  */
 CounterSet &threadCounterSet();

@@ -25,7 +25,7 @@ enum class Phase {
     /** Wire-frame to Request decode. */
     Decode,
 
-    /** Waiting in the batching queue for peers or the dispatcher. */
+    /** Waiting in the batching queue for peers or a leader. */
     QueueWait,
 
     /** The (possibly batched) DNN forward pass. */

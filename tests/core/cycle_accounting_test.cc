@@ -18,7 +18,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <future>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -98,20 +97,25 @@ class CycleAccountingTest : public ::testing::Test
         return -1.0;
     }
 
+    void expectPhaseWorkSumsToRequestSpan(bool batching);
+
     ModelRegistry registry_;
     std::unique_ptr<DjinnServer> server_;
 };
 
 /**
- * The acceptance test: on the non-batched path every phase runs on
- * one worker thread, so decode + forward + encode work must cover
- * most of the request span and never exceed it (plus measurement
- * slop). Holds in both hardware and fallback mode.
+ * The acceptance test: every phase of a request runs on its
+ * worker thread (the forward pass too, when the worker leads it),
+ * so the phase work must cover most of the request span and never
+ * exceed it (plus measurement slop). Holds in both hardware and
+ * fallback mode, batched or not; a leader that charged its pass to
+ * both queue_wait and forward would exceed the span.
  */
-TEST_F(CycleAccountingTest, PhaseWorkSumsToRequestSpan)
+void
+CycleAccountingTest::expectPhaseWorkSumsToRequestSpan(bool batching)
 {
     ServerConfig config;
-    config.batching = false;
+    config.batching = batching;
     config.samplerPeriod = 0;
     startServer(config);
     runInferences(25, 64);
@@ -141,10 +145,10 @@ TEST_F(CycleAccountingTest, PhaseWorkSumsToRequestSpan)
     EXPECT_EQ(request_count, 25u);
     ASSERT_GT(request_sum, 0.0);
 
-    // The three instrumented phases account for ~100% of the
-    // request span: the remainder (tensor staging, bookkeeping)
-    // must stay small, and the sum can never meaningfully exceed
-    // the span it decomposes.
+    // The instrumented phases account for ~100% of the request
+    // span: the remainder (tensor staging, bookkeeping) must stay
+    // small, and the sum can never meaningfully exceed the span it
+    // decomposes.
     double share = phase_sum / request_sum;
     EXPECT_GE(share, 0.5) << "phases cover too little of the span";
     EXPECT_LE(share, 1.05) << "phases exceed the request span";
@@ -157,6 +161,16 @@ TEST_F(CycleAccountingTest, PhaseWorkSumsToRequestSpan)
     }
 }
 
+TEST_F(CycleAccountingTest, PhaseWorkSumsToRequestSpan)
+{
+    expectPhaseWorkSumsToRequestSpan(false);
+}
+
+TEST_F(CycleAccountingTest, PhaseWorkSumsToRequestSpanBatched)
+{
+    expectPhaseWorkSumsToRequestSpan(true);
+}
+
 TEST_F(CycleAccountingTest, BatchedModeAccountsAllFourPhases)
 {
     ServerConfig config;
@@ -166,7 +180,7 @@ TEST_F(CycleAccountingTest, BatchedModeAccountsAllFourPhases)
     runInferences(8, 16);
 
     // Worker threads account decode, queue_wait (the blocked span),
-    // and encode; the dispatcher accounts forward per pass.
+    // and encode; the leading worker accounts forward per pass.
     auto phases = phaseSums(telemetry::phaseCyclesMetricName);
     EXPECT_TRUE(phases.count("decode"));
     EXPECT_TRUE(phases.count("queue_wait"));
@@ -211,11 +225,17 @@ TEST_F(CycleAccountingTest, BatcherQueueDepthTotalDrainsToZero)
     EXPECT_EQ(executor.queueDepthTotal(), 0);
 
     std::vector<float> payload(4 * 64, 0.5f);
-    std::vector<std::future<InferenceResult>> futures;
-    for (int i = 0; i < 6; ++i)
-        futures.push_back(executor.submit("bulk", 4, payload));
-    for (auto &f : futures)
-        EXPECT_TRUE(f.get().status.isOk());
+    std::vector<InferenceResult> results(6);
+    std::vector<std::thread> callers;
+    for (int i = 0; i < 6; ++i) {
+        callers.emplace_back([&, i]() {
+            results[i] = executor.submit("bulk", 4, payload);
+        });
+    }
+    for (auto &c : callers)
+        c.join();
+    for (const auto &r : results)
+        EXPECT_TRUE(r.status.isOk());
     // Every accepted query was counted in and counted back out.
     EXPECT_EQ(executor.queueDepthTotal(), 0);
 }

@@ -211,7 +211,7 @@ TEST_F(TracingTest, NonBatchingServerAlsoEmitsLayerSpans)
     EXPECT_EQ(forward->parentSpanId, request->spanId);
     EXPECT_EQ(fc->parentSpanId, forward->spanId);
 
-    // The inline path emits the same layer args as the batched
+    // The unbatched server emits the same layer args as the batched
     // one: tiny fc is 2 * 4 * 3 = 24 flops for one row.
     bool saw_kind = false, saw_flops = false;
     for (const auto &[key, value] : fc->args) {

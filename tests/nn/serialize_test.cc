@@ -1,9 +1,11 @@
 #include "nn/serialize.hh"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include "nn/init.hh"
 #include "nn/net_def.hh"
@@ -18,7 +20,9 @@ class SerializeTest : public ::testing::Test
     void
     SetUp() override
     {
-        path_ = ::testing::TempDir() + "/weights_test.djw";
+        // Per process: ctest runs these tests in parallel.
+        path_ = ::testing::TempDir() + "/weights_test_" +
+                std::to_string(::getpid()) + ".djw";
     }
 
     void

@@ -233,6 +233,27 @@ TEST(Health, StallWatchdogPages)
     EXPECT_TRUE(sawStall) << verdict.toString();
 }
 
+TEST(Health, StallWaitsForAFullWindowOfHistory)
+{
+    // Frozen progress with work queued, sampled every 0.5 ms (a
+    // just-started server under load): two samples do not show "no
+    // progress for 10 s". Once the history spans the window, the
+    // same shape pages.
+    HealthFixture f;
+    Gauge &depth =
+        f.registry.gauge("djinn_batch_queue_depth_total");
+    f.registry.counter("djinn_batches_total");
+    depth.set(1.0);
+    f.sampleAt(0.0);
+    f.sampleAt(0.0005);
+    HealthVerdict verdict = f.monitor.evaluateNow();
+    EXPECT_NE(verdict.level, HealthLevel::Unhealthy)
+        << verdict.toString();
+    for (int t = 1; t <= 11; ++t)
+        f.sampleAt(static_cast<double>(t));
+    EXPECT_EQ(f.monitor.evaluateNow().level, HealthLevel::Unhealthy);
+}
+
 TEST(Health, GracefulDrainIsNeverUnhealthy)
 {
     // The satellite regression test: the exact stall shape above,

@@ -20,6 +20,10 @@
  *          [--timeseries-cap N]
  *          [--netdef FILE --weights FILE]...
  *
+ * --port takes 0-65535, --batch-size at least 1, and
+ * --batch-delay-us and --max-queue-depth at least 0, all as whole
+ * numbers; any other value exits 2 with the usage text.
+ *
  * --metrics-dump prints the full telemetry exposition (Prometheus
  * text; --metrics-dump-json for JSON) to stdout at shutdown. A
  * running daemon serves the same exposition to clients via the
@@ -87,6 +91,8 @@
  * plus an optional .djw weight file.
  */
 
+#include <cerrno>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -135,6 +141,24 @@ usage()
                  "              [--netdef F --weights F]...\n");
 }
 
+/** @p text as an integer in [lo, hi]; anything else exits 2 with
+ * the usage text. */
+long long
+intFlag(const char *flag, const char *text, long long lo, long long hi)
+{
+    char *end = nullptr;
+    errno = 0;
+    long long value = std::strtoll(text, &end, 10);
+    if (end == text || *end != '\0' || errno == ERANGE || value < lo ||
+        value > hi) {
+        std::fprintf(stderr, "%s wants an integer in [%lld, %lld], "
+                     "got '%s'\n", flag, lo, hi, text);
+        usage();
+        std::exit(2);
+    }
+    return value;
+}
+
 } // namespace
 
 int
@@ -160,8 +184,8 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--port") {
-            config.port =
-                static_cast<uint16_t>(std::atoi(next("--port")));
+            config.port = static_cast<uint16_t>(
+                intFlag("--port", next("--port"), 0, 65535));
         } else if (arg == "--models") {
             std::string list = next("--models");
             if (list == "all") {
@@ -174,14 +198,16 @@ main(int argc, char **argv)
         } else if (arg == "--batching") {
             config.batching = true;
         } else if (arg == "--batch-size") {
-            config.batchOptions.maxQueries =
-                std::atoll(next("--batch-size"));
+            config.batchOptions.maxQueries = intFlag(
+                "--batch-size", next("--batch-size"), 1, INT_MAX);
         } else if (arg == "--batch-delay-us") {
             config.batchOptions.maxDelay =
-                std::atof(next("--batch-delay-us")) * 1e-6;
+                intFlag("--batch-delay-us", next("--batch-delay-us"),
+                        0, INT_MAX) * 1e-6;
         } else if (arg == "--max-queue-depth") {
             config.batchOptions.maxQueueDepth =
-                std::atoll(next("--max-queue-depth"));
+                intFlag("--max-queue-depth", next("--max-queue-depth"),
+                        0, INT_MAX);
         } else if (arg == "--io-timeout-ms") {
             config.ioTimeoutSeconds =
                 std::atof(next("--io-timeout-ms")) * 1e-3;
