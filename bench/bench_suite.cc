@@ -7,7 +7,9 @@
  * schema-versioned JSON document:
  *
  *   1. GEMM kernels at DNN-relevant shapes, per precision
- *      (f32/bf16/int8) and compute-thread count
+ *      (f32/bf16/int8) and compute-thread count, plus the served
+ *      fully connected layers at their serving batch, timed through
+ *      the f32 layer's packed-weight path (precision "f32_packed")
  *        -> djinn_bench_gemm_gflops{shape,precision,threads}
  *   2. A live loopback batching server (tiny model, real TCP) at
  *      batch sizes 1/16/64, quantiled from the same
@@ -52,6 +54,7 @@
 #include "core/djinn_server.hh"
 #include "nn/gemm.hh"
 #include "nn/init.hh"
+#include "nn/layers/inner_product.hh"
 #include "nn/net_def.hh"
 #include "nn/quant.hh"
 #include "telemetry/exposition.hh"
@@ -204,6 +207,57 @@ runGemmStage(const SuiteConfig &config,
             }
             common::setComputeThreads(0);
         }
+    }
+}
+
+/**
+ * The zoo's weight-streaming FC layers at the batch they are served
+ * at (vision: one image; Kaldi: one ~300-frame utterance), run
+ * through InnerProductLayer::forward on packed weights.
+ */
+void
+runPackedFcStage(const SuiteConfig &config,
+                 std::vector<SuiteSample> &out)
+{
+    const std::vector<GemmShape> shapes =
+        config.quick
+            ? std::vector<GemmShape>{{"alexnet_fc8_b1", 1, 1000, 4096}}
+            : std::vector<GemmShape>{
+                  {"alexnet_fc6_b1", 1, 4096, 9216},
+                  {"alexnet_fc7_b1", 1, 4096, 4096},
+                  {"alexnet_fc8_b1", 1, 1000, 4096},
+                  {"deepface_f7_b1", 1, 4096, 7056},
+                  {"kaldi_fc_b298", 298, 2048, 2048}};
+    const std::vector<int> threadCounts =
+        config.quick ? std::vector<int>{1, 4}
+                     : std::vector<int>{1, 2, 4, 8};
+    const int reps = config.quick ? 3 : 5;
+
+    for (const GemmShape &shape : shapes) {
+        nn::InnerProductLayer fc(shape.name, shape.n);
+        fc.setup(nn::Shape(1, shape.k));
+        std::vector<nn::Tensor *> params = fc.params();
+        auto w = randomVec(shape.n * shape.k, config.seed + 13);
+        std::copy(w.begin(), w.end(), params[0]->data());
+        fc.packWeights();
+        nn::Tensor in(nn::Shape(shape.m, shape.k));
+        auto x = randomVec(shape.m * shape.k, config.seed + 14);
+        std::copy(x.begin(), x.end(), in.data());
+        nn::Tensor y;
+        const double flops =
+            2.0 * shape.m * shape.n * static_cast<double>(shape.k);
+        for (int threads : threadCounts) {
+            common::setComputeThreads(threads);
+            fc.forward(in, y); // warm the pool and caches
+            double secs =
+                bestSeconds(reps, [&]() { fc.forward(in, y); });
+            emitSample(out, "djinn_bench_gemm_gflops",
+                       {{"precision", "f32_packed"},
+                        {"shape", shape.name},
+                        {"threads", std::to_string(threads)}},
+                       flops / secs / 1e9);
+        }
+        common::setComputeThreads(0);
     }
 }
 
@@ -432,6 +486,7 @@ main(int argc, char **argv)
     std::vector<SuiteSample> samples;
     std::fprintf(stderr, "bench_suite: gemm stage...\n");
     runGemmStage(config, samples);
+    runPackedFcStage(config, samples);
     std::fprintf(stderr, "bench_suite: service stage...\n");
     runServiceStage(config, samples);
     std::fprintf(stderr, "bench_suite: cluster stage...\n");

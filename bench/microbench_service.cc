@@ -133,7 +133,8 @@ BM_HistogramRecordWithExemplar(benchmark::State &state)
     double v = 1e-6;
     uint64_t i = 0;
     for (auto _ : state) {
-        hist.record(v, ++i, i);
+        ++i;
+        hist.record(v, i, i);
         v = v < 1.0 ? v * 1.7 : 1e-6;
     }
     state.SetItemsProcessed(state.iterations());

@@ -303,11 +303,13 @@ rm -f /tmp/djinn_microbench.json
 # Second, the differential battery and quantization property tests
 # under AddressSanitizer + UBSan: the packed kernels index raw
 # panel buffers with hand-rolled arithmetic, exactly where a
-# fuzzy-but-passing out-of-bounds read would hide.
+# fuzzy-but-passing out-of-bounds read would hide. The packed-FC,
+# locally connected and packed save/load suites index the in-place
+# band layout the same way.
 cmake -B build-asan -S . -DDJINN_SANITIZE=address,undefined \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-asan -j --target nn_test
-./build-asan/tests/nn_test --gtest_filter='GemmDiff*:Quant*'
+./build-asan/tests/nn_test --gtest_filter='GemmDiff*:Quant*:PackedFcDiff*:*LocallyConnectedDiff*:SerializeTest.Packed*'
 
 # ThreadSanitizer pass over the concurrency-heavy suites: the
 # compute pool, the threaded GEMM kernel, the batching server, the
@@ -315,14 +317,19 @@ cmake --build build-asan -j --target nn_test
 # connection workers) the tracing and cycle-accounting suites.
 cmake -B build-tsan -S . -DDJINN_SANITIZE=thread \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build build-tsan -j --target common_test nn_test core_test \
-    cluster_test telemetry_test
+cmake --build build-tsan -j --target common_test nn_test zoo_test \
+    core_test cluster_test telemetry_test
 ./build-tsan/tests/common_test \
     --gtest_filter='ThreadPool*:ComputePool*'
 # GemmDiff* covers the f32, bf16, and int8 batteries (all three
 # run the threaded driver); Quant* rides along for the scalar
-# primitives.
-./build-tsan/tests/nn_test --gtest_filter='GemmDiff*:Quant*'
+# primitives. PackedFcDiff and LocallyConnectedDiff run the tiled
+# packed-weight kernels, and the LC suite packs lazily inside
+# forward(); Determinism* runs every zoo network, whose passes read
+# the packed weights from all pool threads.
+./build-tsan/tests/nn_test \
+    --gtest_filter='GemmDiff*:Quant*:PackedFcDiff*:*LocallyConnectedDiff*'
+./build-tsan/tests/zoo_test --gtest_filter='Determinism*'
 ./build-tsan/tests/core_test \
     --gtest_filter='*Batcher*:*Server*:*Robustness*:*Retry*:*FrameIo*:*Observability*:*Sched*:TracingTest*:CycleAccounting*:TailE2e*'
 # The flight recorder's seqlock ring and the histogram exemplar

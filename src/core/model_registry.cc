@@ -19,6 +19,9 @@ ModelRegistry::add(nn::NetworkPtr network)
     if (!network->finalized())
         return Status::invalidArgument("network '" + network->name() +
                                        "' is not finalized");
+    // A registered model's weights are final: pack them for serving
+    // before the first query can reach it.
+    network->packWeights();
     std::lock_guard<std::mutex> lock(mutex_);
     auto [it, inserted] = models_.emplace(network->name(),
                                           std::move(network));

@@ -24,6 +24,12 @@ namespace {
 // owned by exactly one row block, and k slices are visited in
 // ascending order with a barrier between them, so the floating
 // point reduction order is fixed regardless of pool size.
+//
+// sgemm_packed skips the per-call B packing: the weights were
+// reordered once (packBands) into the same panels, and a panel's
+// k slice is a contiguous run of them. Its tiles own their C
+// elements outright and walk all k slices in ascending order, so
+// no barrier is needed and the bits match sgemm's.
 // ---------------------------------------------------------------
 
 constexpr int64_t MR = 8;   ///< microkernel rows
@@ -105,25 +111,19 @@ microKernel(int64_t kb, const float *ap, const float *bp, float *acc)
 #endif
 
 /**
- * Pack op(B)[k0 : k0+kb) x [0 : n) into NR-wide panels: panel pj
- * holds columns [pj*NR, pj*NR+NR) in layout [p][j], zero-padded to
- * NR at the right edge.
+ * Pack op(B)[k0 : k0+kb) x [j0 : j0+nr) into one NR-wide panel in
+ * layout [p][j], zero-padded to NR at the right edge.
  */
 void
-packB(const float *b, int64_t ldb, Trans trans, int64_t k0,
-      int64_t kb, int64_t n, int64_t pj0, int64_t pj1, float *bpack)
+packBPanel(const float *b, int64_t ldb, Trans trans, int64_t k0,
+           int64_t kb, int64_t j0, int64_t nr, float *panel)
 {
-    for (int64_t pj = pj0; pj < pj1; ++pj) {
-        float *panel = bpack + pj * kb * NR;
-        int64_t j0 = pj * NR;
-        int64_t nr = std::min(NR, n - j0);
-        for (int64_t p = 0; p < kb; ++p) {
-            float *row = panel + p * NR;
-            for (int64_t jj = 0; jj < nr; ++jj)
-                row[jj] = fetchB(b, ldb, trans, k0 + p, j0 + jj);
-            for (int64_t jj = nr; jj < NR; ++jj)
-                row[jj] = 0.0f;
-        }
+    for (int64_t p = 0; p < kb; ++p) {
+        float *row = panel + p * NR;
+        for (int64_t jj = 0; jj < nr; ++jj)
+            row[jj] = fetchB(b, ldb, trans, k0 + p, j0 + jj);
+        for (int64_t jj = nr; jj < NR; ++jj)
+            row[jj] = 0.0f;
     }
 }
 
@@ -148,6 +148,47 @@ packA(const float *a, int64_t lda, Trans trans, int64_t i0,
                 row[ii] = 0.0f;
         }
     }
+}
+
+/**
+ * One KC slice of one tile: C[i0 : i0+mb) x panels [pj0, pj1) +=
+ * alpha * Apack * B. @p panel(pj) yields the slice's [kb][NR]
+ * panel for column panel pj. Each C element gets exactly one
+ * `c += alpha * acc` per slice, whatever the tiling.
+ */
+template <typename PanelFn>
+void
+multiplyBlock(int64_t kb, const float *apack, int64_t i0, int64_t mb,
+              int64_t pj0, int64_t pj1, int64_t n, float alpha,
+              PanelFn &&panel, float *c, int64_t ldc)
+{
+    int64_t mpanels = (mb + MR - 1) / MR;
+    for (int64_t pj = pj0; pj < pj1; ++pj) {
+        const float *bp = panel(pj);
+        int64_t jb = pj * NR;
+        int64_t nr = std::min(NR, n - jb);
+        for (int64_t pi = 0; pi < mpanels; ++pi) {
+            int64_t ib = i0 + pi * MR;
+            int64_t mr = std::min(MR, i0 + mb - ib);
+            float acc[MR * NR]; // fully written below
+            microKernel(kb, apack + pi * kb * MR, bp, acc);
+            for (int64_t ii = 0; ii < mr; ++ii) {
+                float *crow = c + (ib + ii) * ldc + jb;
+                const float *arow = acc + ii * NR;
+                for (int64_t jj = 0; jj < nr; ++jj)
+                    crow[jj] += alpha * arow[jj];
+            }
+        }
+    }
+}
+
+/** The thread's op(A) pack buffer, sized for one MC x kb block. */
+float *
+apackBuffer(int64_t kb)
+{
+    static thread_local std::vector<float> apack;
+    apack.resize(static_cast<size_t>(MC) * kb);
+    return apack.data();
 }
 
 /** Scale C by beta (the epilogue-free prologue of every path). */
@@ -227,40 +268,28 @@ sgemm(Trans trans_a, Trans trans_b, int64_t m, int64_t n, int64_t k,
 
     for (int64_t k0 = 0; k0 < k; k0 += KC) {
         int64_t kb = std::min(KC, k - k0);
+        float *bp = bpack.data();
         pool.parallelFor(
             0, npanels, 16, [&](int64_t p0, int64_t p1) {
-                packB(b, ldb, trans_b, k0, kb, n, p0, p1,
-                      bpack.data());
+                for (int64_t pj = p0; pj < p1; ++pj) {
+                    int64_t j0 = pj * NR;
+                    packBPanel(b, ldb, trans_b, k0, kb, j0,
+                               std::min(NR, n - j0),
+                               bp + pj * kb * NR);
+                }
             });
 
         int64_t mblocks = (m + MC - 1) / MC;
         pool.parallelFor(0, mblocks, 1, [&](int64_t b0, int64_t b1) {
-            static thread_local std::vector<float> apack_tls;
-            std::vector<float> &apack = apack_tls;
-            apack.resize(static_cast<size_t>(MC) * kb);
+            float *apack = apackBuffer(kb);
             for (int64_t blk = b0; blk < b1; ++blk) {
                 int64_t i0 = blk * MC;
                 int64_t mb = std::min(MC, m - i0);
-                packA(a, lda, trans_a, i0, mb, k0, kb, apack.data());
-                int64_t mpanels = (mb + MR - 1) / MR;
-                for (int64_t pi = 0; pi < mpanels; ++pi) {
-                    int64_t ib = i0 + pi * MR;
-                    int64_t mr = std::min(MR, m - ib);
-                    for (int64_t pj = 0; pj < npanels; ++pj) {
-                        int64_t jb = pj * NR;
-                        int64_t nr = std::min(NR, n - jb);
-                        float acc[MR * NR]; // fully written below
-                        microKernel(kb, apack.data() + pi * kb * MR,
-                                    bpack.data() + pj * kb * NR,
-                                    acc);
-                        for (int64_t ii = 0; ii < mr; ++ii) {
-                            float *crow = c + (ib + ii) * ldc + jb;
-                            const float *arow = acc + ii * NR;
-                            for (int64_t jj = 0; jj < nr; ++jj)
-                                crow[jj] += alpha * arow[jj];
-                        }
-                    }
-                }
+                packA(a, lda, trans_a, i0, mb, k0, kb, apack);
+                multiplyBlock(
+                    kb, apack, i0, mb, 0, npanels, n, alpha,
+                    [&](int64_t pj) { return bp + pj * kb * NR; }, c,
+                    ldc);
             }
         });
     }
@@ -271,6 +300,123 @@ sgemm(int64_t m, int64_t n, int64_t k, const float *a, const float *b,
       float *c)
 {
     sgemm(Trans::No, Trans::No, m, n, k, 1.0f, a, k, b, n, 0.0f, c, n);
+}
+
+namespace {
+
+/**
+ * Apply @p move to every full band of packBands' layout across the
+ * pool; @p move(band, scratch) rewrites one band through a band's
+ * worth of scratch.
+ */
+template <typename MoveFn>
+void
+forEachBand(float *w, int64_t groups, int64_t rows, int64_t depth,
+            MoveFn &&move)
+{
+    static_assert(kPackBand == NR, "bands are microkernel panels");
+    int64_t per_group = rows / NR;
+    size_t band = static_cast<size_t>(NR * depth);
+    common::computePool().parallelFor(
+        0, groups * per_group, 1, [&](int64_t b0, int64_t b1) {
+            Scratch<float> tmp(band);
+            for (int64_t bi = b0; bi < b1; ++bi) {
+                int64_t g = bi / per_group;
+                int64_t r0 = (bi % per_group) * NR;
+                float *base = w + (g * rows + r0) * depth;
+                std::memcpy(tmp.data(), base, band * sizeof(float));
+                move(base, tmp.data());
+            }
+        });
+}
+
+} // namespace
+
+void
+packBands(float *w, int64_t groups, int64_t rows, int64_t depth)
+{
+    forEachBand(w, groups, rows, depth,
+                [depth](float *band, const float *rowmajor) {
+                    for (int64_t p = 0; p < depth; ++p)
+                        for (int64_t r = 0; r < NR; ++r)
+                            band[p * NR + r] = rowmajor[r * depth + p];
+                });
+}
+
+void
+unpackBands(float *w, int64_t groups, int64_t rows, int64_t depth)
+{
+    forEachBand(w, groups, rows, depth,
+                [depth](float *band, const float *packed) {
+                    for (int64_t r = 0; r < NR; ++r)
+                        for (int64_t p = 0; p < depth; ++p)
+                            band[r * depth + p] = packed[p * NR + r];
+                });
+}
+
+void
+sgemm_packed(int64_t m, int64_t n, int64_t k, const float *a,
+             const float *w, float *c)
+{
+    if (m < 0 || n < 0 || k < 0)
+        fatal("sgemm_packed: negative dimension m=%ld n=%ld k=%ld", m,
+              n, k);
+    if (m == 0 || n == 0)
+        return;
+    if (n == 1 || k == 0) {
+        // No full band: W is its row-major self, and sgemm's n == 1
+        // dot-product path gives the bits this product always had.
+        sgemm(Trans::No, Trans::Yes, m, n, k, 1.0f, a, k, w, k, 0.0f,
+              c, n);
+        return;
+    }
+
+    // Tiles are (MC row block x panel range). Split the panels only
+    // as far as it takes to give every pool thread about four tiles:
+    // each tile packs its own A block, so a wide m needs no split.
+    auto &pool = common::computePool();
+    int64_t npanels = (n + NR - 1) / NR;
+    int64_t full = n / NR;
+    int64_t mblocks = (m + MC - 1) / MC;
+    int64_t want = 4 * static_cast<int64_t>(pool.size());
+    int64_t pchunks = std::clamp<int64_t>((want + mblocks - 1) / mblocks,
+                                          1, npanels);
+    int64_t per = (npanels + pchunks - 1) / pchunks;
+    pchunks = (npanels + per - 1) / per;
+
+    pool.parallelFor(0, mblocks * pchunks, 1, [&](int64_t t0,
+                                                  int64_t t1) {
+        float *apack = apackBuffer(std::min(KC, k));
+        float tail[KC * NR];
+        for (int64_t t = t0; t < t1; ++t) {
+            int64_t i0 = (t / pchunks) * MC;
+            int64_t mb = std::min(MC, m - i0);
+            int64_t pj0 = (t % pchunks) * per;
+            int64_t pj1 = std::min(npanels, pj0 + per);
+            for (int64_t i = i0; i < i0 + mb; ++i) {
+                float *crow = c + i * n;
+                std::fill(crow + pj0 * NR,
+                          crow + std::min(n, pj1 * NR), 0.0f);
+            }
+            // Ascending k slices, as sgemm visits them.
+            for (int64_t k0 = 0; k0 < k; k0 += KC) {
+                int64_t kb = std::min(KC, k - k0);
+                packA(a, k, Trans::No, i0, mb, k0, kb, apack);
+                if (pj1 == npanels && full < npanels) {
+                    // The partial band stays row-major in W.
+                    packBPanel(w, k, Trans::Yes, k0, kb, full * NR,
+                               n - full * NR, tail);
+                }
+                multiplyBlock(
+                    kb, apack, i0, mb, pj0, pj1, n, 1.0f,
+                    [&](int64_t pj) -> const float * {
+                        return pj < full ? w + pj * NR * k + k0 * NR
+                                         : tail;
+                    },
+                    c, n);
+            }
+        }
+    });
 }
 
 void

@@ -15,6 +15,10 @@
  *    are bit-identical across runs and across thread counts
  *    (DESIGN.md §8).
  *
+ *  - sgemm_packed: the fully connected product over weights packed
+ *    once (packBands) into sgemm's panel layout, tiled so a batch
+ *    of one still spreads across the pool. Same bits as sgemm.
+ *
  *  - sgemm_naive: the original scalar reference kernel, kept for
  *    differential testing and as the benchmark baseline. Never
  *    threaded.
@@ -56,6 +60,36 @@ void sgemm(Trans trans_a, Trans trans_b, int64_t m, int64_t n,
 /** Convenience SGEMM with no transposes and unit strides. */
 void sgemm(int64_t m, int64_t n, int64_t k, const float *a,
            const float *b, float *c);
+
+/** Rows per band of a packed weight matrix (the microkernel's NR). */
+constexpr int64_t kPackBand = 16;
+
+/**
+ * Reorder weights in place into the band-major layout the
+ * weight-streaming kernels read. @p w holds @p groups consecutive
+ * row-major (rows x depth) matrices; each full band of kPackBand
+ * rows of a matrix, [kPackBand][depth], becomes [depth][kPackBand]
+ * in the same bytes. The rows % kPackBand rows past a matrix's last
+ * full band stay row-major. Runs on the compute pool, one band of
+ * scratch per task.
+ */
+void packBands(float *w, int64_t groups, int64_t rows, int64_t depth);
+
+/** Inverse of packBands: restores the row-major layout in place. */
+void unpackBands(float *w, int64_t groups, int64_t rows,
+                 int64_t depth);
+
+/**
+ * The fully connected product over packed weights:
+ * C (m x n) = A (m x k) * W^T, where W (n x k) was reordered by
+ * packBands(w, 1, n, k). Bit-identical to
+ * sgemm(Trans::No, Trans::Yes, m, n, k, 1, a, k, W, k, 0, c, n)
+ * on the row-major W, at every pool size. Work is split over
+ * (row block x panel range) tiles, so m == 1 still spreads across
+ * the whole pool.
+ */
+void sgemm_packed(int64_t m, int64_t n, int64_t k, const float *a,
+                  const float *w, float *c);
 
 /**
  * Reference SGEMM: the original single-threaded scalar kernel

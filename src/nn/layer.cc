@@ -74,8 +74,62 @@ Layer::forward(const Tensor &in, Tensor &out) const
               name_.c_str(), s.toString().c_str(),
               inputShape_.toString().c_str());
     }
+    if (!weightsPacked()) {
+        // Weights that changed since the last pass (or were never
+        // packed) are packed once, under packMutex_; the layer is
+        // logically unchanged, so forward stays const.
+        const_cast<Layer *>(this)->packWeights();
+    }
     out.resize(outputShape_.withBatch(s.n()));
     forwardImpl(in, out);
+}
+
+std::vector<Tensor *>
+Layer::params()
+{
+    unpackWeights();
+    return paramTensors();
+}
+
+std::vector<const Tensor *>
+Layer::params() const
+{
+    auto stored = const_cast<Layer *>(this)->paramTensors();
+    return {stored.begin(), stored.end()};
+}
+
+Tensor
+Layer::paramValues(size_t i) const
+{
+    std::lock_guard<std::mutex> lock(packMutex_);
+    Tensor copy = *const_cast<Layer *>(this)->paramTensors().at(i);
+    if (packed_.load(std::memory_order_relaxed))
+        unpackParam(i, copy);
+    return copy;
+}
+
+void
+Layer::packWeights()
+{
+    std::lock_guard<std::mutex> lock(packMutex_);
+    if (packed_.load(std::memory_order_relaxed))
+        return;
+    auto stored = paramTensors();
+    for (size_t i = 0; i < stored.size(); ++i)
+        packParam(i, *stored[i]);
+    packed_.store(true, std::memory_order_release);
+}
+
+void
+Layer::unpackWeights()
+{
+    std::lock_guard<std::mutex> lock(packMutex_);
+    if (!packed_.load(std::memory_order_relaxed))
+        return;
+    auto stored = paramTensors();
+    for (size_t i = 0; i < stored.size(); ++i)
+        unpackParam(i, *stored[i]);
+    packed_.store(false, std::memory_order_relaxed);
 }
 
 void
@@ -87,6 +141,7 @@ Layer::setPrecision(Precision p, LayerQuant q)
         fatal("layer '%s' (%s) does not support precision %s",
               name_.c_str(), layerKindName(kind_), precisionName(p));
     }
+    unpackWeights(); // lowering reads the row-major weights
     precision_ = p;
     quant_ = std::move(q);
     onPrecisionChanged();
@@ -107,13 +162,6 @@ Layer::flopsPerSample() const
         // ReLU/Tanh/Sigmoid/HardTanh: one op + one store pass.
         return 2 * out_elems;
     }
-}
-
-std::vector<const Tensor *>
-Layer::params() const
-{
-    auto mutable_params = const_cast<Layer *>(this)->params();
-    return {mutable_params.begin(), mutable_params.end()};
 }
 
 std::string

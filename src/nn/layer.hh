@@ -8,8 +8,10 @@
 #ifndef DJINN_NN_LAYER_HH
 #define DJINN_NN_LAYER_HH
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -98,11 +100,43 @@ class Layer
      */
     virtual uint64_t flopsPerSample() const;
 
-    /** Mutable views of the learned parameter tensors. */
-    virtual std::vector<Tensor *> params() { return {}; }
+    /**
+     * Mutable views of the learned parameter tensors, in their
+     * row-major layouts. Unpacks packed weights first (see
+     * packWeights), so what callers read and write is always the
+     * logical layout; the next forward() packs again. Not thread
+     * safe against concurrent forward() calls.
+     */
+    std::vector<Tensor *> params();
 
-    /** Read-only views of the learned parameter tensors. */
+    /**
+     * Read-only views of the parameter storage, for shapes and
+     * element counts. While weightsPacked(), a weight tensor's
+     * bytes are in its kernel's layout; paramValues() gives the
+     * row-major values.
+     */
     std::vector<const Tensor *> params() const;
+
+    /** Row-major copy of parameter tensor @p i, packed or not. */
+    Tensor paramValues(size_t i) const;
+
+    /**
+     * Reorder the weights in place into the layout forward()
+     * streams (band-major for f32 fully connected and locally
+     * connected layers; a no-op for the rest). Call once the
+     * weights are final: Network::packWeights does it for a whole
+     * network, and forward() does it on first use for a layer that
+     * is not packed yet. Idempotent; safe against concurrent
+     * forward() calls.
+     */
+    void packWeights();
+
+    /** Whether the weights are in forward()'s layout. */
+    bool
+    weightsPacked() const
+    {
+        return packed_.load(std::memory_order_acquire);
+    }
 
     /** One-line human-readable description. */
     virtual std::string describe() const;
@@ -134,9 +168,10 @@ class Layer
 
     /**
      * Compute the int8 LayerQuant for this layer given a calibration
-     * batch of its *inputs* (the activation mapping covers the
-     * batch's min/max; weight scales come from the current weights).
-     * Returns an empty LayerQuant for layers with no int8 lowering.
+     * batch of its *inputs*: the activation mapping covers the
+     * batch's min/max. Weight scales are left empty; setPrecision
+     * derives them from the weights. Returns an empty LayerQuant for
+     * layers with no int8 lowering.
      */
     virtual LayerQuant
     calibrate(const Tensor &in) const
@@ -146,6 +181,25 @@ class Layer
     }
 
   protected:
+    /** The learned parameter tensors as stored (weights first). */
+    virtual std::vector<Tensor *> paramTensors() { return {}; }
+
+    /** Reorder parameter tensor @p i (stored in @p t) for forward. */
+    virtual void
+    packParam(size_t i, Tensor &t) const
+    {
+        (void)i;
+        (void)t;
+    }
+
+    /** Inverse of packParam. */
+    virtual void
+    unpackParam(size_t i, Tensor &t) const
+    {
+        (void)i;
+        (void)t;
+    }
+
     /** Compute the output sample shape and allocate parameters. */
     virtual Shape setupImpl(const Shape &input) = 0;
 
@@ -163,6 +217,9 @@ class Layer
     LayerQuant &mutableQuant() { return quant_; }
 
   private:
+    /** Restore the row-major layout (the inverse of packWeights). */
+    void unpackWeights();
+
     std::string name_;
     LayerKind kind_;
     Shape inputShape_;
@@ -170,6 +227,8 @@ class Layer
     bool isSetUp_ = false;
     Precision precision_ = Precision::F32;
     LayerQuant quant_;
+    mutable std::mutex packMutex_;
+    std::atomic<bool> packed_{false};
 };
 
 using LayerPtr = std::unique_ptr<Layer>;

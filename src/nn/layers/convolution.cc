@@ -132,7 +132,7 @@ ConvolutionLayer::paramCount() const
 }
 
 std::vector<Tensor *>
-ConvolutionLayer::params()
+ConvolutionLayer::paramTensors()
 {
     std::vector<Tensor *> out{&weights_};
     if (hasBias_)
@@ -152,14 +152,6 @@ ConvolutionLayer::calibrate(const Tensor &in) const
     // the signed side here because the weights take the unsigned
     // (left) slot of the u8 x s8 kernel.
     q.act = QuantParams::affineS8(lo, hi);
-    int64_t per_filter = weights_.elems() / outChannels_;
-    q.weightScales.resize(static_cast<size_t>(outChannels_));
-    for (int64_t o = 0; o < outChannels_; ++o) {
-        q.weightScales[static_cast<size_t>(o)] =
-            QuantParams::symmetricS8(
-                maxAbs(weights_.data() + o * per_filter, per_filter))
-                .scale;
-    }
     return q;
 }
 

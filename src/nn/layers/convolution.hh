@@ -59,7 +59,6 @@ class ConvolutionLayer : public Layer
                      bool bias = true);
 
     uint64_t paramCount() const override;
-    std::vector<Tensor *> params() override;
 
     int64_t outChannels() const { return outChannels_; }
     int64_t kernel() const { return kernel_; }
@@ -94,6 +93,7 @@ class ConvolutionLayer : public Layer
     LayerQuant calibrate(const Tensor &in) const override;
 
   protected:
+    std::vector<Tensor *> paramTensors() override;
     Shape setupImpl(const Shape &input) override;
     void forwardImpl(const Tensor &in, Tensor &out) const override;
     void onPrecisionChanged() override;

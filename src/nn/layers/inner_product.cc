@@ -39,12 +39,27 @@ InnerProductLayer::paramCount() const
 }
 
 std::vector<Tensor *>
-InnerProductLayer::params()
+InnerProductLayer::paramTensors()
 {
     std::vector<Tensor *> out{&weights_};
     if (hasBias_)
         out.push_back(&bias_);
     return out;
+}
+
+void
+InnerProductLayer::packParam(size_t i, Tensor &t) const
+{
+    // bf16 and int8 keep their kernels, which read W row-major.
+    if (i == 0 && precision() == Precision::F32)
+        packBands(t.data(), 1, outputs_, inputs_);
+}
+
+void
+InnerProductLayer::unpackParam(size_t i, Tensor &t) const
+{
+    if (i == 0 && precision() == Precision::F32)
+        unpackBands(t.data(), 1, outputs_, inputs_);
 }
 
 LayerQuant
@@ -55,13 +70,6 @@ InnerProductLayer::calibrate(const Tensor &in) const
     minMax(in.data(), in.elems(), &lo, &hi);
     // Activations ride the unsigned side of the u8 x s8 kernel.
     q.act = QuantParams::affineU8(lo, hi);
-    q.weightScales.resize(static_cast<size_t>(outputs_));
-    for (int64_t o = 0; o < outputs_; ++o) {
-        q.weightScales[static_cast<size_t>(o)] =
-            QuantParams::symmetricS8(
-                maxAbs(weights_.data() + o * inputs_, inputs_))
-                .scale;
-    }
     return q;
 }
 
@@ -104,7 +112,7 @@ InnerProductLayer::forwardImpl(const Tensor &in, Tensor &out) const
 {
     int64_t batch = in.shape().n();
     // out[N x outputs] = in[N x inputs] * W^T[inputs x outputs].
-    // The GEMM partitions its own rows across the compute pool.
+    // The GEMM partitions its own work across the compute pool.
     switch (precision()) {
       case Precision::Int8:
         gemm_s8(Trans::No, Trans::Yes, batch, outputs_, inputs_,
@@ -119,9 +127,8 @@ InnerProductLayer::forwardImpl(const Tensor &in, Tensor &out) const
                   inputs_, 0.0f, out.data(), outputs_);
         break;
       case Precision::F32:
-        sgemm(Trans::No, Trans::Yes, batch, outputs_, inputs_, 1.0f,
-              in.data(), inputs_, weights_.data(), inputs_, 0.0f,
-              out.data(), outputs_);
+        sgemm_packed(batch, outputs_, inputs_, in.data(),
+                     weights_.data(), out.data());
         break;
     }
     if (hasBias_) {

@@ -13,7 +13,9 @@ namespace nn {
 
 /**
  * Fully connected layer. The input sample is flattened to a vector
- * of length c*h*w; weights are stored row-major (outputs x inputs).
+ * of length c*h*w; weights are (outputs x inputs), row-major as
+ * params() shows them. At f32, packWeights() reorders them in place
+ * into the band-major panels sgemm_packed streams (packBands).
  */
 class InnerProductLayer : public Layer
 {
@@ -27,7 +29,6 @@ class InnerProductLayer : public Layer
                       bool bias = true);
 
     uint64_t paramCount() const override;
-    std::vector<Tensor *> params() override;
 
     /** Number of output neurons. */
     int64_t outputs() const { return outputs_; }
@@ -41,9 +42,6 @@ class InnerProductLayer : public Layer
         return 2ull * static_cast<uint64_t>(inputs_) *
                static_cast<uint64_t>(outputs_);
     }
-
-    /** The (outputs x inputs) weight matrix. */
-    const Tensor &weights() const { return weights_; }
 
     /** The bias vector; empty when bias is disabled. */
     const Tensor &bias() const { return bias_; }
@@ -59,6 +57,9 @@ class InnerProductLayer : public Layer
     LayerQuant calibrate(const Tensor &in) const override;
 
   protected:
+    std::vector<Tensor *> paramTensors() override;
+    void packParam(size_t i, Tensor &t) const override;
+    void unpackParam(size_t i, Tensor &t) const override;
     Shape setupImpl(const Shape &input) override;
     void forwardImpl(const Tensor &in, Tensor &out) const override;
     void onPrecisionChanged() override;

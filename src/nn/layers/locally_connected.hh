@@ -17,10 +17,14 @@ namespace nn {
 /**
  * Locally connected 2D layer. Weight layout is
  * (out_c * out_h * out_w, in_c, kh, kw): one private filter per
- * output element. Because no weights are shared, the layer's
- * parameter footprint scales with the output map size, and a forward
- * pass must stream the full weight set from memory once per sample —
- * the property that makes FACE memory-bound in the paper.
+ * output element, row-major as params() shows them. Because no
+ * weights are shared, the layer's parameter footprint scales with
+ * the output map size, and a forward pass must stream the full
+ * weight set from memory once per sample — the property that makes
+ * FACE memory-bound in the paper. packWeights() reorders each
+ * channel's filters in place in bands of kPackBand positions
+ * (packBands), so a pass streams the weights and a position-blocked
+ * im2col buffer side by side.
  */
 class LocallyConnectedLayer : public Layer
 {
@@ -38,7 +42,6 @@ class LocallyConnectedLayer : public Layer
                           int64_t pad = 0, bool bias = true);
 
     uint64_t paramCount() const override;
-    std::vector<Tensor *> params() override;
 
     int64_t outChannels() const { return outChannels_; }
     int64_t kernel() const { return kernel_; }
@@ -56,6 +59,9 @@ class LocallyConnectedLayer : public Layer
     }
 
   protected:
+    std::vector<Tensor *> paramTensors() override;
+    void packParam(size_t i, Tensor &t) const override;
+    void unpackParam(size_t i, Tensor &t) const override;
     Shape setupImpl(const Shape &input) override;
     void forwardImpl(const Tensor &in, Tensor &out) const override;
 

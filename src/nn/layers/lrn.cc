@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/logging.hh"
+#include "common/thread_pool.hh"
 
 namespace djinn {
 namespace nn {
@@ -31,25 +32,34 @@ LrnLayer::forwardImpl(const Tensor &in, Tensor &out) const
     int64_t plane = is.h() * is.w();
     int64_t half = size_ / 2;
 
-    for (int64_t n = 0; n < in.shape().n(); ++n) {
-        const float *src = in.sample(n);
-        float *dst = out.sample(n);
-        for (int64_t c = 0; c < is.c(); ++c) {
-            int64_t c0 = std::max<int64_t>(c - half, 0);
-            int64_t c1 = std::min<int64_t>(c + half, is.c() - 1);
-            for (int64_t i = 0; i < plane; ++i) {
-                float sq = 0.0f;
-                for (int64_t cc = c0; cc <= c1; ++cc) {
-                    float v = src[cc * plane + i];
-                    sq += v * v;
+    // One task per (sample, channel) plane; each output element's
+    // arithmetic is the same whichever thread computes it.
+    int64_t channels = is.c();
+    int64_t grain = std::max<int64_t>(
+        1, 16384 / std::max<int64_t>(plane * size_, 1));
+    common::computePool().parallelFor(
+        0, in.shape().n() * channels, grain,
+        [&](int64_t t0, int64_t t1) {
+            for (int64_t t = t0; t < t1; ++t) {
+                int64_t n = t / channels;
+                int64_t c = t % channels;
+                const float *src = in.sample(n);
+                float *dst = out.sample(n);
+                int64_t c0 = std::max<int64_t>(c - half, 0);
+                int64_t c1 = std::min<int64_t>(c + half, channels - 1);
+                for (int64_t i = 0; i < plane; ++i) {
+                    float sq = 0.0f;
+                    for (int64_t cc = c0; cc <= c1; ++cc) {
+                        float v = src[cc * plane + i];
+                        sq += v * v;
+                    }
+                    float scale =
+                        k_ + alpha_ / static_cast<float>(size_) * sq;
+                    dst[c * plane + i] =
+                        src[c * plane + i] / std::pow(scale, beta_);
                 }
-                float scale = k_ + alpha_ / static_cast<float>(size_) *
-                              sq;
-                dst[c * plane + i] =
-                    src[c * plane + i] / std::pow(scale, beta_);
             }
-        }
-    }
+        });
 }
 
 } // namespace nn

@@ -52,6 +52,13 @@ Network::finalize()
     finalized_ = true;
 }
 
+void
+Network::packWeights()
+{
+    for (auto &l : layers_)
+        l->packWeights();
+}
+
 const Layer *
 Network::findLayer(const std::string &name) const
 {

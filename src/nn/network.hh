@@ -58,6 +58,15 @@ class Network
     /** Mark construction complete. Must be called before forward(). */
     void finalize();
 
+    /**
+     * Reorder every layer's weights in place into the layout its
+     * forward pass streams (Layer::packWeights), on the compute
+     * pool. Call once the weights are final — after init or load
+     * and any lowering; zoo::build and ModelRegistry::add do. The
+     * packed network holds the same bytes, so memory does not grow.
+     */
+    void packWeights();
+
     /** True once finalize() has run. */
     bool finalized() const { return finalized_; }
 

@@ -68,13 +68,15 @@ saveWeights(const Network &net, const std::string &path)
         writeU32(os, static_cast<uint32_t>(name.size()));
         os.write(name.data(),
                  static_cast<std::streamsize>(name.size()));
-        auto params = layer.params();
-        writeU32(os, static_cast<uint32_t>(params.size()));
-        for (const Tensor *t : params) {
-            writeU64(os, static_cast<uint64_t>(t->elems()));
-            os.write(reinterpret_cast<const char *>(t->data()),
+        size_t count = layer.params().size();
+        writeU32(os, static_cast<uint32_t>(count));
+        for (size_t p = 0; p < count; ++p) {
+            // Packed weights are written in their row-major layout.
+            Tensor t = layer.paramValues(p);
+            writeU64(os, static_cast<uint64_t>(t.elems()));
+            os.write(reinterpret_cast<const char *>(t.data()),
                      static_cast<std::streamsize>(
-                         t->elems() * sizeof(float)));
+                         t.elems() * sizeof(float)));
         }
     }
     if (net.precision() != Precision::F32) {

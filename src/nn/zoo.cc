@@ -152,17 +152,17 @@ netDef(Model model)
 NetworkPtr
 build(Model model, uint64_t seed)
 {
-    auto net = parseNetDefOrDie(netDef(model));
-    initializeWeights(*net, seed);
-    return net;
+    return build(model, Precision::F32, seed);
 }
 
 NetworkPtr
 build(Model model, Precision precision, uint64_t seed)
 {
-    auto net = build(model, seed);
+    auto net = parseNetDefOrDie(netDef(model));
+    initializeWeights(*net, seed);
     if (precision != Precision::F32)
         net->quantize(precision, calibrationBatch(*net));
+    net->packWeights();
     return net;
 }
 

@@ -47,15 +47,16 @@ Model modelFromName(const std::string &name);
 std::string netDef(Model model);
 
 /**
- * Build a model: parse its netdef and initialize weights
- * deterministically from @p seed.
+ * Build a model: parse its netdef, initialize weights
+ * deterministically from @p seed, and pack them for serving
+ * (Network::packWeights).
  */
 NetworkPtr build(Model model, uint64_t seed = 42);
 
 /**
- * Build a model and lower it to @p precision. Int8 activation
- * mappings are calibrated on calibrationBatch(); f32 is a plain
- * build.
+ * Build a model and lower it to @p precision, then pack the
+ * weights. Int8 activation mappings are calibrated on
+ * calibrationBatch(); f32 is a plain build.
  */
 NetworkPtr build(Model model, Precision precision,
                  uint64_t seed = 42);

@@ -8,6 +8,11 @@
  * from the accumulation depth k, not bit-exactly; bit-exactness
  * *across thread counts* of the fast kernel itself is asserted by
  * determinism_test.cc and by the checksum comparison here.
+ *
+ * The PackedFcDiff suite checks the fully connected path over
+ * packed weights (packBands + sgemm_packed) against the generic
+ * sgemm on the same row-major weights: bit-identical (memcmp) at
+ * pool sizes 1, 2 and 4, and within the same bound of sgemm_naive.
  */
 
 #include "nn/gemm.hh"
@@ -244,6 +249,88 @@ TEST(GemmDiff, SgemvMatchesSgemm)
                     << "m=" << m << " n=" << n << " i=" << i;
         }
     }
+}
+
+// Packed fully connected path ----------------------------------------
+
+/**
+ * One fully connected shape: out (m x n) = in (m x k) * W^T with W
+ * (n x k). The packed path must reproduce the generic sgemm's bits
+ * exactly, at every pool size, and round-trip W through
+ * packBands/unpackBands unchanged.
+ */
+void
+runPackedFc(int64_t m, int64_t n, int64_t k, djinn::Rng &rng)
+{
+    SCOPED_TRACE(testing::Message()
+                 << "m=" << m << " n=" << n << " k=" << k);
+    std::vector<float> a(static_cast<size_t>(m * k));
+    std::vector<float> w(static_cast<size_t>(n * k));
+    fillUniform(a, rng);
+    fillUniform(w, rng);
+
+    std::vector<float> want(static_cast<size_t>(m * n));
+    common::setComputeThreads(2);
+    sgemm(Trans::No, Trans::Yes, m, n, k, 1.0f, a.data(), k, w.data(),
+          k, 0.0f, want.data(), n);
+
+    std::vector<float> packed = w;
+    packBands(packed.data(), 1, n, k);
+    for (int threads : {1, 2, 4}) {
+        common::setComputeThreads(threads);
+        std::vector<float> got(static_cast<size_t>(m * n), NAN);
+        sgemm_packed(m, n, k, a.data(), packed.data(), got.data());
+        ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                              got.size() * sizeof(float)),
+                  0)
+            << "threads=" << threads;
+    }
+    unpackBands(packed.data(), 1, n, k);
+    ASSERT_EQ(std::memcmp(packed.data(), w.data(),
+                          w.size() * sizeof(float)),
+              0);
+
+    // The slow oracle: different summation order, so a bound.
+    if (m * n * k <= (int64_t{1} << 24)) {
+        std::vector<float> ref(static_cast<size_t>(m * n));
+        sgemm_naive(Trans::No, Trans::Yes, m, n, k, 1.0f, a.data(), k,
+                    w.data(), k, 0.0f, ref.data(), n);
+        float tol = errorBound(k, 1.0f);
+        for (size_t i = 0; i < ref.size(); ++i)
+            ASSERT_NEAR(want[i], ref[i], tol) << "at " << i;
+    }
+}
+
+TEST(PackedFcDiff, MatchesSgemmBitExactlyAtEveryPoolSize)
+{
+    PoolSizeGuard guard;
+    djinn::Rng rng(2024);
+    // Batch 1 and Kaldi's ~300 rows; partial and full MR/MC blocks;
+    // partial bands (17, 83, 1000 % 16 != 0) and whole ones (4096);
+    // k on both sides of one KC slice and fc6's 9216. The largest
+    // products (over 2^28 multiply-adds) are left out to keep the
+    // sanitizer passes short.
+    for (int64_t m : {1, 3, 8, 9, 64, 65, 298}) {
+        for (int64_t n : {17, 83, 1000, 4096}) {
+            for (int64_t k : {255, 256, 257, 9216}) {
+                if (m * n * k > (int64_t{1} << 28))
+                    continue;
+                runPackedFc(m, n, k, rng);
+                if (testing::Test::HasFatalFailure())
+                    return;
+            }
+        }
+    }
+}
+
+TEST(PackedFcDiff, NarrowOutputsHaveNoBandAndStillMatch)
+{
+    PoolSizeGuard guard;
+    djinn::Rng rng(77);
+    // n < 16: W holds no full band and stays row-major; n == 1 is
+    // sgemm's dot-product path.
+    for (int64_t n : {1, 2, 15, 16})
+        runPackedFc(5, n, 300, rng);
 }
 
 } // namespace

@@ -146,6 +146,15 @@ struct ConvCase {
     int64_t in_c, in_h, out_c, kernel, stride, pad, groups, batch;
 };
 
+/** Prints the geometry, which gtest and ctest then use as the id. */
+void
+PrintTo(const ConvCase &c, std::ostream *os)
+{
+    *os << "in" << c.in_c << "_h" << c.in_h << "_out" << c.out_c
+        << "_k" << c.kernel << "_s" << c.stride << "_p" << c.pad
+        << "_g" << c.groups << "_n" << c.batch;
+}
+
 class ConvProperty : public ::testing::TestWithParam<ConvCase>
 {};
 

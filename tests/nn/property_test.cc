@@ -39,6 +39,14 @@ struct PoolCase {
     bool max_pool;
 };
 
+/** Prints the geometry, which gtest and ctest then use as the id. */
+void
+PrintTo(const PoolCase &c, std::ostream *os)
+{
+    *os << (c.max_pool ? "max" : "avg") << "_size" << c.size << "_k"
+        << c.kernel << "_s" << c.stride << "_p" << c.pad;
+}
+
 class PoolingProperty : public ::testing::TestWithParam<PoolCase>
 {};
 

@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 
@@ -198,6 +199,43 @@ TEST_F(SerializeTest, PlainFileLoadsIntoF32)
     auto dst = makeNet(9);
     ASSERT_TRUE(loadWeights(*dst, path_).isOk());
     EXPECT_EQ(dst->precision(), Precision::F32);
+}
+
+TEST_F(SerializeTest, PackedNetworkSavesRowMajorBytes)
+{
+    // FC and locally connected layers wide enough to hold whole
+    // packed bands, plus partial ones (40 % 16, 9 % 16 positions).
+    const char *def = "name p\ninput 2 5 5\n"
+                      "layer lc local out 3 kernel 3 pad 1\n"
+                      "layer fc fc out 40\n";
+    auto readFile = [](const std::string &path) {
+        std::ifstream is(path, std::ios::binary);
+        return std::string((std::istreambuf_iterator<char>(is)),
+                           std::istreambuf_iterator<char>());
+    };
+    auto src = parseNetDefOrDie(def);
+    initializeWeights(*src, 5);
+    ASSERT_TRUE(saveWeights(*src, path_).isOk());
+    std::string unpacked = readFile(path_);
+
+    src->packWeights();
+    ASSERT_TRUE(src->layer(0).weightsPacked());
+    ASSERT_TRUE(src->layer(1).weightsPacked());
+    ASSERT_TRUE(saveWeights(*src, path_).isOk());
+    EXPECT_EQ(readFile(path_), unpacked);
+
+    auto dst = parseNetDefOrDie(def);
+    ASSERT_TRUE(loadWeights(*dst, path_).isOk());
+    Tensor in(Shape(2, 2, 5, 5));
+    for (int64_t i = 0; i < in.elems(); ++i)
+        in[i] = static_cast<float>(i % 11) / 11.0f - 0.5f;
+    Tensor a = src->forward(in);
+    Tensor b = dst->forward(in);
+    ASSERT_EQ(a.shape(), b.shape());
+    EXPECT_EQ(std::memcmp(a.data(), b.data(),
+                          static_cast<size_t>(a.elems()) *
+                              sizeof(float)),
+              0);
 }
 
 TEST_F(SerializeTest, CorruptQuantTrailerRejected)
